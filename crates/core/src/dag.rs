@@ -298,21 +298,12 @@ impl SoaEdges {
     }
 
     /// Re-copy `times`/`costs` from the graph's edge payloads after an
-    /// in-place recost. Topology (`offsets`/`heads`/`edge_ids`/
+    /// in-place recost, for the out-edges of the marked tail nodes only
+    /// — the store is grouped by tail, so a recost that tracked its
+    /// dirty tails pays for the affected slices instead of the whole
+    /// edge array. Topology (`offsets`/`heads`/`edge_ids`/
     /// `multiplicity`/`topo`) is untouched — callers guarantee the
     /// graph's shape did not change.
-    fn refresh_metrics(&mut self, g: &DiGraph<Choice, EdgeMetrics>) {
-        for i in 0..self.edge_ids.len() {
-            let m = g.edge(EdgeId(self.edge_ids[i]));
-            self.times[i] = m.time_s;
-            self.costs[i] = m.cost_nanos;
-        }
-    }
-
-    /// Like [`SoaEdges::refresh_metrics`], but re-copies only the
-    /// out-edges of the marked tail nodes — the store is grouped by
-    /// tail, so a recost that tracked its dirty tails pays for the
-    /// affected slices instead of the whole edge array.
     fn refresh_metrics_on(&mut self, g: &DiGraph<Choice, EdgeMetrics>, tails: &[bool]) {
         debug_assert_eq!(tails.len() + 1, self.offsets.len());
         for u in tails.iter().enumerate().filter(|&(_, &d)| d).map(|(u, _)| u) {
@@ -453,6 +444,36 @@ fn pareto_filter(edges: &mut Vec<(usize, EdgeMetrics)>) -> usize {
     before - edges.len()
 }
 
+/// Cost sentinel for "no edge" in the dense per-tier cost tables; it
+/// compares greater than every real cost.
+const NO_EDGE: i64 = i64::MAX;
+
+/// [`pareto_filter`]'s exact verdict in O(T) for bundles whose time
+/// depends only on the tier. `by_time` lists the candidate tiers as
+/// `(time, tier index)` sorted by time, then index; `cost[si]` is tier
+/// `si`'s cost in this bundle, or [`NO_EDGE`] if the bundle lacks it.
+/// Sets `keep[si]` for the survivors: an entry survives iff it is the
+/// cheapest of its equal-time group (ties kept) and strictly cheaper
+/// than everything faster.
+fn pareto_sweep(by_time: &[(f64, usize)], cost: &[i64], keep: &mut [bool]) {
+    keep.fill(false);
+    // Cheapest cost over strictly faster entries.
+    let mut best = NO_EDGE;
+    let mut lo = 0;
+    while lo < by_time.len() {
+        let t = by_time[lo].0;
+        let hi = lo + by_time[lo..].iter().take_while(|&&(u, _)| u == t).count();
+        let group = &by_time[lo..hi];
+        let group_min = group.iter().map(|&(_, si)| cost[si]).min().unwrap_or(NO_EDGE);
+        for &(_, si) in group {
+            // `< best` also rejects NO_EDGE, since `best <= NO_EDGE`.
+            keep[si] = cost[si] == group_min && cost[si] < best;
+        }
+        best = best.min(group_min);
+        lo = hi;
+    }
+}
+
 /// Compute the column-2 recipe for one `k_M` (pure; safe to run on any
 /// thread).
 fn col2_recipe(
@@ -591,6 +612,7 @@ fn col3_recipe(
         .per_step_spawn_s
         .last()
         .expect("at least one step");
+    let n_feasible = per_tier.iter().filter(|tier| tier.feasible).count();
     let full: Vec<Col4Recipe> = tiers
         .iter()
         .enumerate()
@@ -607,7 +629,7 @@ fn col3_recipe(
                 cache.job_total_mb(),
                 pending_input_mb,
             );
-            let mut final_edges = Vec::new();
+            let mut final_edges = Vec::with_capacity(n_feasible);
             for (si, tier) in per_tier.iter().enumerate() {
                 if !tier.feasible {
                     continue;
@@ -631,7 +653,7 @@ fn col3_recipe(
         .collect();
 
     let (mut pruned_coords, mut pruned_final_edges) = (0usize, 0usize);
-    let mut per_coord: Vec<(usize, Col4Recipe)> = if prune.pareto_tiers {
+    let per_coord: Vec<(usize, Col4Recipe)> = if prune.pareto_tiers {
         // Coordinator-tier dominance within this (k_M, k_R). A path
         // through coordinator `a` and reducer tier `s` adds time
         // `t2(a) + phase(s)` and cost `e3c(a) + e4c(s, a)`; `phase(s)`
@@ -640,23 +662,23 @@ fn col3_recipe(
         // offers, `aj` offers it no more expensively — with at least one
         // strict improvement (exact ties keep both). Coordinators with
         // no feasible reducer tier are dead ends and always dropped.
-        let combined: Vec<Vec<Option<i64>>> = full
-            .iter()
-            .map(|c| {
-                let mut by_si: Vec<Option<i64>> = vec![None; tiers.len()];
-                for &(si, m) in &c.final_edges {
-                    by_si[si] = Some(c.e3.cost_nanos + m.cost_nanos);
-                }
-                by_si
-            })
-            .collect();
+        //
+        // `combined[ai * t + si]` is `e3c(ai) + e4c(si, ai)`, or NO_EDGE
+        // where `ai` offers no continuation to `si`.
+        let t = tiers.len();
+        let mut combined = vec![NO_EDGE; t * t];
+        for (ai, c) in full.iter().enumerate() {
+            for &(si, m) in &c.final_edges {
+                combined[ai * t + si] = c.e3.cost_nanos + m.cost_nanos;
+            }
+        }
         let dominated = |i: usize| -> bool {
             if full[i].final_edges.is_empty() {
                 return true; // dead end: on no source→sink path
             }
             // Only `i`'s own continuations decide dominance — slots `j`
             // offers and `i` lacks never make `j` worse — so walk `i`'s
-            // (sparse) final-edge list and index `j`'s dense slot table.
+            // (sparse) final-edge list and index `j`'s dense slot row.
             let base_i = full[i].e3.cost_nanos;
             (0..full.len()).any(|j| {
                 if j == i {
@@ -667,19 +689,15 @@ fn col3_recipe(
                     return false;
                 }
                 let mut strict = tj < ti;
-                let by_si_j = &combined[j];
+                let row_j = &combined[j * t..(j + 1) * t];
                 for &(si, m) in &full[i].final_edges {
                     let ci = base_i + m.cost_nanos;
-                    match by_si_j[si] {
-                        Some(cj) => {
-                            if cj > ci {
-                                return false;
-                            }
-                            if cj < ci {
-                                strict = true;
-                            }
-                        }
-                        None => return false, // j misses a continuation
+                    // A missing continuation (NO_EDGE) fails here too.
+                    if row_j[si] > ci {
+                        return false;
+                    }
+                    if row_j[si] < ci {
+                        strict = true;
                     }
                 }
                 strict
@@ -687,21 +705,36 @@ fn col3_recipe(
         };
         let keep: Vec<bool> = (0..full.len()).map(|i| !dominated(i)).collect();
         pruned_coords = keep.iter().filter(|&&k| !k).count();
+
+        // Reducer-tier dominance within each surviving coordinator: the
+        // z_s -> sink edge is (0, 0), so the final-edge bundle alone
+        // decides. A final edge's time is the coordinator-independent
+        // `phase_s(s)`, so one time order serves every coordinator and
+        // each bundle is swept in O(T). Its `combined` row orders costs
+        // exactly as the bundle does (`e3c` is a shared offset).
+        let mut by_time: Vec<(f64, usize)> = per_tier
+            .iter()
+            .enumerate()
+            .filter(|(_, tier)| tier.feasible)
+            .map(|(si, tier)| (tier.phase_s, si))
+            .collect();
+        by_time.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut keep_si = vec![false; t];
         full.into_iter()
             .enumerate()
             .filter(|(ai, _)| keep[*ai])
+            .map(|(ai, mut coord)| {
+                pareto_sweep(&by_time, &combined[ai * t..(ai + 1) * t], &mut keep_si);
+                let before = coord.final_edges.len();
+                coord.final_edges.retain(|&(si, _)| keep_si[si]);
+                pruned_final_edges += before - coord.final_edges.len();
+                coord.final_edges.shrink_to_fit();
+                (ai, coord)
+            })
             .collect()
     } else {
         full.into_iter().enumerate().collect()
     };
-    if prune.pareto_tiers {
-        // Reducer-tier dominance within each surviving coordinator: the
-        // z_s -> sink edge is (0, 0), so the final-edge bundle alone
-        // decides dominance.
-        for (_, coord) in &mut per_coord {
-            pruned_final_edges += pareto_filter(&mut coord.final_edges);
-        }
-    }
 
     Some(Col3Recipe {
         k_r,
@@ -949,16 +982,9 @@ impl PlannerDag {
     }
 
     /// Overwrite one edge's metrics in the graph arena (the SoA mirror
-    /// is refreshed separately via [`PlannerDag::refresh_soa_metrics`]).
+    /// is refreshed separately via [`PlannerDag::refresh_soa_metrics_on`]).
     pub(crate) fn set_edge(&mut self, eid: EdgeId, m: EdgeMetrics) {
         *self.graph.edge_mut(eid) = m;
-    }
-
-    /// Re-copy the SoA mirror's times/costs from the graph payloads
-    /// after a batch of [`PlannerDag::set_edge`] writes.
-    pub(crate) fn refresh_soa_metrics(&mut self) {
-        let PlannerDag { graph, soa, .. } = self;
-        soa.refresh_metrics(graph);
     }
 
     /// Re-copy the SoA mirror's times/costs for the out-edges of the
@@ -967,177 +993,6 @@ impl PlannerDag {
     pub(crate) fn refresh_soa_metrics_on(&mut self, tails: &[bool]) {
         let PlannerDag { graph, soa, .. } = self;
         soa.refresh_metrics_on(graph, tails);
-    }
-
-    /// Tier-B incremental patch: recompute the column recipes for the
-    /// (changed) job behind `cache` and *replay* [`assemble`]'s exact
-    /// node/edge emission order against this DAG's existing topology,
-    /// overwriting edge metrics in place.
-    ///
-    /// Because assembly order is deterministic, a successful replay — a
-    /// node-by-node, edge-by-edge topology match that consumes exactly
-    /// the stored node and edge counts — produces a graph bit-identical
-    /// to a cold [`PlannerDag::build_with_cache`] at the new inputs.
-    /// Any divergence (a feasibility gate or pruning verdict flipped, so
-    /// the new build would have different shape) returns `false`; the
-    /// DAG's payloads are then partially overwritten and the caller
-    /// **must** discard it and rebuild. `space` and `prune` must be the
-    /// ones the DAG was originally built with (the delta classifier
-    /// guarantees this — space changes are reshape deltas).
-    pub(crate) fn try_patch_recompute(
-        &mut self,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-        cache: &ModelCache<'_>,
-        prune: PruneConfig,
-    ) -> bool {
-        let (job, platform) = (cache.job(), cache.platform());
-        job.profile.validate();
-        let coord_compute = coord_compute_per_tier(job, platform, space);
-
-        // Same parallel recipe passes as `build_with_cache`.
-        let col2: Vec<Col2Recipe> = space
-            .k_m_values
-            .par_iter()
-            .filter_map(|&k_m| col2_recipe(platform, catalog, space, cache, prune, k_m))
-            .collect();
-        let col3_flat: Vec<Option<(usize, Col3Recipe)>> = {
-            let work: Vec<(usize, usize, usize)> = col2
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, r)| {
-                    space
-                        .k_r_candidates(r.j)
-                        .into_iter()
-                        .map(move |k_r| (ci, r.k_m, k_r))
-                })
-                .collect();
-            work.par_iter()
-                .map(|&(ci, k_m, k_r)| {
-                    col3_recipe(platform, catalog, space, cache, &coord_compute, prune, k_m, k_r)
-                        .map(|r| (ci, r))
-                })
-                .collect()
-        };
-
-        // Replay `assemble`'s emission order, checking topology and
-        // overwriting payloads as we go.
-        fn take_node(
-            g: &DiGraph<Choice, EdgeMetrics>,
-            next: &mut u32,
-            want: Choice,
-        ) -> Option<NodeId> {
-            let id = NodeId(*next);
-            if (*next as usize) >= g.node_count() || *g.node(id) != want {
-                return None;
-            }
-            *next += 1;
-            Some(id)
-        }
-        fn take_edge(
-            g: &mut DiGraph<Choice, EdgeMetrics>,
-            next: &mut u32,
-            from: NodeId,
-            to: NodeId,
-            m: EdgeMetrics,
-        ) -> bool {
-            let id = EdgeId(*next);
-            if (*next as usize) >= g.edge_count() || g.endpoints(id) != (from, to) {
-                return false;
-            }
-            *g.edge_mut(id) = m;
-            *next += 1;
-            true
-        }
-
-        let tiers = &space.memory_tiers_mb;
-        let g = &mut self.graph;
-        let (mut nn, mut ne) = (0u32, 0u32);
-        let Some(source) = take_node(g, &mut nn, Choice::Source) else {
-            return false;
-        };
-        let Some(sink) = take_node(g, &mut nn, Choice::Sink) else {
-            return false;
-        };
-        let mut col1 = Vec::with_capacity(tiers.len());
-        for &m in tiers.iter() {
-            let Some(id) = take_node(g, &mut nn, Choice::MapperMem(m)) else {
-                return false;
-            };
-            if !take_edge(g, &mut ne, source, id, metrics(0.0, Money::ZERO)) {
-                return false;
-            }
-            col1.push(id);
-        }
-        let mut col5 = Vec::with_capacity(tiers.len());
-        for &m in tiers.iter() {
-            let Some(id) = take_node(g, &mut nn, Choice::ReducerMem(m)) else {
-                return false;
-            };
-            if !take_edge(g, &mut ne, id, sink, metrics(0.0, Money::ZERO)) {
-                return false;
-            }
-            col5.push(id);
-        }
-
-        let mut prune_stats = PruneStats::default();
-        let mut col2_nodes = Vec::with_capacity(col2.len());
-        for r in &col2 {
-            prune_stats.mapper_edges += r.pruned_edges;
-            let Some(node) = take_node(g, &mut nn, Choice::ObjectsPerMapper(r.k_m)) else {
-                return false;
-            };
-            for &(ti, m) in &r.mapper_edges {
-                if !take_edge(g, &mut ne, col1[ti], node, m) {
-                    return false;
-                }
-            }
-            col2_nodes.push(node);
-        }
-
-        for (ci, recipe) in col3_flat.into_iter().flatten() {
-            prune_stats.coordinator_nodes += recipe.pruned_coords;
-            prune_stats.reducer_edges += recipe.pruned_final_edges;
-            if recipe.per_coord.is_empty() {
-                continue;
-            }
-            let k_m = col2[ci].k_m;
-            let k_r = recipe.k_r;
-            let Some(col3_node) = take_node(g, &mut nn, Choice::ObjectsPerReducer { k_m, k_r })
-            else {
-                return false;
-            };
-            if !take_edge(g, &mut ne, col2_nodes[ci], col3_node, recipe.e2) {
-                return false;
-            }
-            for (ai, coord) in recipe.per_coord {
-                let want = Choice::CoordinatorMem {
-                    k_m,
-                    k_r,
-                    mem: tiers[ai],
-                };
-                let Some(col4_node) = take_node(g, &mut nn, want) else {
-                    return false;
-                };
-                if !take_edge(g, &mut ne, col3_node, col4_node, coord.e3) {
-                    return false;
-                }
-                for (si, m) in coord.final_edges {
-                    if !take_edge(g, &mut ne, col4_node, col5[si], m) {
-                        return false;
-                    }
-                }
-            }
-        }
-
-        // The replay must consume the graph exactly: leftovers mean the
-        // new build would emit fewer nodes/edges than the old shape.
-        if nn as usize != g.node_count() || ne as usize != g.edge_count() {
-            return false;
-        }
-        self.prune_stats = prune_stats;
-        self.refresh_soa_metrics();
-        true
     }
 }
 
@@ -1504,6 +1359,47 @@ mod tests {
             space.k_m_weights.iter().sum::<usize>(),
             full.k_m_values.len()
         );
+    }
+
+    #[test]
+    fn pareto_sweep_matches_pareto_filter() {
+        // xorshift64: a fixed, dependency-free stream of random bundles.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for case in 0..5000 {
+            let t = 1 + next(16) as usize;
+            // Few distinct values, so time ties, cost ties and exact
+            // duplicates all occur often.
+            let times: Vec<f64> = (0..t).map(|_| next(5) as f64 * 0.25).collect();
+            let mut cost = vec![NO_EDGE; t];
+            let mut bundle = Vec::new();
+            for si in 0..t {
+                // Some tiers are candidates the bundle lacks.
+                if next(4) != 0 {
+                    cost[si] = next(6) as i64 * 10;
+                    bundle.push((si, EdgeMetrics { time_s: times[si], cost_nanos: cost[si] }));
+                }
+            }
+            let mut by_time: Vec<(f64, usize)> = times.iter().copied().zip(0..).collect();
+            by_time.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut keep = vec![false; t];
+            pareto_sweep(&by_time, &cost, &mut keep);
+
+            let swept: Vec<(usize, EdgeMetrics)> =
+                bundle.iter().copied().filter(|&(si, _)| keep[si]).collect();
+            let mut expected = bundle.clone();
+            pareto_filter(&mut expected);
+            assert_eq!(swept, expected, "case {case}: bundle {bundle:?}");
+            assert!(
+                keep.iter().zip(&cost).all(|(&k, &c)| !k || c != NO_EDGE),
+                "case {case}: kept a tier the bundle lacks"
+            );
+        }
     }
 
     #[test]

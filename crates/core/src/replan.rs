@@ -6,8 +6,10 @@
 //! while the DAG's shape (columns, feasibility gates, pruning verdicts)
 //! stays put. [`JobDelta`] diffs two `(job, space, platform, prices)`
 //! tuples into the change classes below; `PlannerSession::apply_delta`
-//! then picks the cheapest sound repair:
+//! then picks one of three repairs:
 //!
+//! * **unchanged** — cosmetic deltas (renames) keep the DAG, the
+//!   potentials and the answer memo.
 //! * **fast recost** (`RecostPlan`) — only the touched edge families
 //!   are re-evaluated through the O(1) cost kernels and written back
 //!   into the existing arena + SoA mirror. Sound only when no
@@ -15,13 +17,12 @@
 //!   deltas limited to `{name, mapper_coeff, prices}` (a mapper-
 //!   coefficient change can flip the mapper timeout gate, so the new
 //!   feasible set is verified against the captured topology first —
-//!   any flip falls back).
-//! * **recipe replay** (`PlannerDag::try_patch_recompute`) — recompute
-//!   the column recipes and replay assembly order against the existing
-//!   topology, overwriting payloads. Handles pruned DAGs and any
-//!   non-reshape delta; a shape divergence falls back to a rebuild.
-//! * **rebuild** — space/platform changes (including input-count
-//!   changes that re-bucket the space) always rebuild.
+//!   any flip falls back). `PlannerSession::patches_in_place` answers
+//!   whether a delta is on this tier.
+//! * **rebuild** — everything else: reduce/coordinator coefficients and
+//!   other job values, any coefficient or price delta on a pruned DAG
+//!   (it can move a pruning verdict), and space/platform changes
+//!   (including input-count changes that re-bucket the space).
 //!
 //! Every repair path is bit-identical to a cold rebuild at the new
 //! inputs (`tests/replan_equivalence.rs` pins this under proptest).
@@ -49,9 +50,6 @@ pub enum ReplanOutcome {
     Unchanged,
     /// Only the affected edge families were recosted in place.
     Patched,
-    /// All column recipes were recomputed and replayed onto the
-    /// existing topology.
-    Replayed,
     /// The delta changed DAG shape; the session rebuilt from scratch.
     Rebuilt,
 }
@@ -159,11 +157,6 @@ impl JobDelta {
         } == JobDelta::default()
     }
 
-    /// The delta can skip the rebuild (shape inputs untouched).
-    pub fn patchable(&self) -> bool {
-        !self.reshape
-    }
-
     /// The delta qualifies for the fast in-place recost tier: classes
     /// within `{name, mapper_coeff, prices}`. (Only sound on unpruned
     /// DAGs; the session checks that separately.)
@@ -233,8 +226,7 @@ struct PairCtx {
 /// Topology index for the fast recost tier: where each recostable edge
 /// family lives in the arena, keyed by the configuration choices its
 /// cost kernels need. Captured lazily from a built DAG (one O(V+E)
-/// walk) and reused across deltas until a replay or rebuild invalidates
-/// it.
+/// walk) and reused across deltas until a rebuild invalidates it.
 #[derive(Debug, Clone)]
 pub(crate) struct RecostPlan {
     /// Column-1 node ids in tier order (the mapper edges' tails).

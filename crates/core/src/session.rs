@@ -357,12 +357,25 @@ impl PlannerSession {
             match outcome {
                 ReplanOutcome::Unchanged => "planner.session.replan_unchanged",
                 ReplanOutcome::Patched => "planner.session.replan_patched",
-                ReplanOutcome::Replayed => "planner.session.replan_replayed",
                 ReplanOutcome::Rebuilt => "planner.session.replan_rebuilt",
             },
             1,
         );
         outcome
+    }
+
+    /// Whether a session holding this delta is re-aimed without a
+    /// rebuild: cosmetic deltas always are, and model-bearing deltas
+    /// are when the fast recost tier applies (effective pruning off, a
+    /// [`JobDelta::fast_patchable`] class, an exact DAG strategy). Even
+    /// then a mapper-coefficient delta that flips a timeout gate falls
+    /// back to a rebuild. Everything else rebuilds, so a caller holding
+    /// a cold-build closure gains nothing from cloning this session.
+    pub fn patches_in_place(&self, delta: &JobDelta) -> bool {
+        delta.is_cosmetic()
+            || (delta.fast_patchable()
+                && self.strategy != Strategy::Exhaustive
+                && !effective_prune(self.prune, self.strategy).pareto_tiers)
     }
 
     fn apply_classified(
@@ -379,45 +392,29 @@ impl PlannerSession {
             self.job = job.clone();
             return ReplanOutcome::Unchanged;
         }
-        // Exhaustive sessions are validation-scale; their DAG accessor
-        // must stay truthful, so any model-bearing delta just rebuilds.
-        if !delta.patchable() || self.strategy == Strategy::Exhaustive {
+        if !self.patches_in_place(delta) {
+            // Pruning verdicts, reshapes and exhaustive sessions (whose
+            // DAG accessor must stay truthful) rebuild.
             return self.rebuild(job, platform, catalog, space);
         }
-        let eff = effective_prune(self.prune, self.strategy);
-        if !eff.pareto_tiers && delta.fast_patchable() {
-            if self.recost.is_none() {
-                self.recost = RecostPlan::capture(&self.dag, &self.space);
-            }
-            if let Some(plan) = self.recost.take() {
-                match plan.patch(&mut self.dag, delta, job, platform, catalog, space) {
-                    Some(dirty) => {
-                        self.potentials = self.potentials.resume(&self.dag, &dirty);
-                        self.set_inputs(job, platform, catalog, space);
-                        self.invalidate_memo(delta);
-                        // Topology untouched: the capture stays valid.
-                        self.recost = Some(plan);
-                        return ReplanOutcome::Patched;
-                    }
-                    // A feasibility gate flipped: the new shape differs.
-                    None => return self.rebuild(job, platform, catalog, space),
-                }
-            }
+        if self.recost.is_none() {
+            self.recost = RecostPlan::capture(&self.dag, &self.space);
         }
-        // Recipe replay: recompute all recipes, overwrite in place if
-        // the topology still matches.
-        let cache = ModelCache::new(job, platform);
-        if self.dag.try_patch_recompute(catalog, space, &cache, eff) {
-            drop(cache);
-            self.potentials = PlannerPotentials::compute(&self.dag);
-            self.set_inputs(job, platform, catalog, space);
-            self.invalidate_memo(delta);
-            // Replay verified the topology, so an existing capture is
-            // still accurate.
-            return ReplanOutcome::Replayed;
+        let Some(plan) = self.recost.take() else {
+            return self.rebuild(job, platform, catalog, space);
+        };
+        match plan.patch(&mut self.dag, delta, job, platform, catalog, space) {
+            Some(dirty) => {
+                self.potentials = self.potentials.resume(&self.dag, &dirty);
+                self.set_inputs(job, platform, catalog, space);
+                self.invalidate_memo(delta);
+                // Topology untouched: the capture stays valid.
+                self.recost = Some(plan);
+                ReplanOutcome::Patched
+            }
+            // A feasibility gate flipped: the new shape differs.
+            None => self.rebuild(job, platform, catalog, space),
         }
-        drop(cache);
-        self.rebuild(job, platform, catalog, space)
     }
 
     fn set_inputs(

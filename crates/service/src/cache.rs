@@ -11,19 +11,26 @@
 //! The key is a canonical fingerprint of every input that affects the
 //! session ([`SessionKey::for_inputs`]); two jobs share a session only
 //! if they would build bit-identical DAGs, so reuse can never change a
-//! result. Lookups are single-flight: the build runs under the cache
-//! lock, so concurrent workers asking for the same key produce one
-//! session, not several.
+//! result.
 //!
-//! A miss is not always a cold build: [`SessionCache::get_or_patch`]
-//! revalidates near-misses. When the submitted inputs differ from a
-//! resident session only by a patchable delta (model coefficients,
-//! prices, per-object sizes — anything that keeps the DAG shape), the
-//! cached session is cloned and repaired in place via
+//! The cache lock covers only the lookup and the insert; builds and
+//! patches run outside it, so a hit never waits behind another key's
+//! build and two different keys build concurrently. Lookups are still
+//! single-flight per key: a miss opens (or joins) the key's in-flight
+//! `OnceLock`, and every caller runs `get_or_init` on it with its own
+//! builder. Exactly one builder runs; the others wait for its session
+//! and count as hits. If that builder panics, a waiting caller's builder
+//! runs instead, so a failed build never wedges the key.
+//!
+//! A miss costs at most one DAG build. [`SessionCache::get_or_patch`]
+//! serves a near-miss from a resident session only when
+//! [`PlannerSession::patches_in_place`] says the delta needs no rebuild
+//! — a rename, or a coefficient/price delta on an unpruned DAG. The
+//! cached session is then cloned and repaired via
 //! [`PlannerSession::apply_delta`], which recosts only the affected edge
-//! families and resumes the potential sweep instead of rebuilding the
-//! Fig. 5 DAG. Resubmitted jobs with tweaked profiles therefore re-quote
-//! at interactive latency.
+//! families and resumes the potential sweep, so such re-quotes run at
+//! interactive latency. Every other near-miss (under the default
+//! pruning, every coefficient delta) goes straight to one cold build.
 //!
 //! Reuse is observable as `service.cache.hits` / `.patched` /
 //! `.misses` / `.evictions` counters and a `service.cache.entries`
@@ -31,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use astra_core::{ConfigSpace, JobDelta, PlannerSession, PruneConfig, ReplanOutcome, Strategy};
 use astra_model::{JobSpec, Platform};
@@ -214,9 +221,10 @@ pub struct SessionCacheStats {
 }
 
 impl SessionCacheStats {
-    /// Hits over total lookups (0 when no lookups yet).
+    /// Hits over total lookups — hits, patches and misses (0 when no
+    /// lookups yet).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits + self.patched + self.misses;
         if total == 0 {
             0.0
         } else {
@@ -231,8 +239,16 @@ struct Entry {
     touched: u64,
 }
 
+/// The single-flight slot of one key being built: every caller that
+/// misses the key runs `get_or_init` on the same cell with its own
+/// builder, so exactly one builder runs; if it panics, a waiter's
+/// builder runs instead.
+type Pending = Arc<OnceLock<Arc<PlannerSession>>>;
+
 struct CacheState {
     entries: HashMap<SessionKey, Entry>,
+    /// Keys whose session is being built or patched outside the lock.
+    in_flight: HashMap<SessionKey, Pending>,
     clock: u64,
     hits: u64,
     patched: u64,
@@ -241,9 +257,14 @@ struct CacheState {
 }
 
 impl CacheState {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
     /// Insert `session` under `key`, evicting the LRU entry if the cache
     /// is at `capacity`. Capacity 0 stores nothing.
-    fn insert(&mut self, key: SessionKey, session: &Arc<PlannerSession>, stamp: u64, capacity: usize, telemetry: &Telemetry) {
+    fn insert(&mut self, key: SessionKey, session: &Arc<PlannerSession>, capacity: usize, telemetry: &Telemetry) {
         if capacity == 0 {
             return;
         }
@@ -261,11 +282,12 @@ impl CacheState {
                 telemetry.counter("service.cache.evictions", 1);
             }
         }
+        let touched = self.tick();
         self.entries.insert(
             key,
             Entry {
                 session: Arc::clone(session),
-                touched: stamp,
+                touched,
             },
         );
     }
@@ -274,7 +296,8 @@ impl CacheState {
 /// How a [`SessionCache::get_or_patch`] lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheLookup {
-    /// Exact fingerprint match — the cached session was returned as-is.
+    /// Exact fingerprint match — the cached session was returned as-is
+    /// (or another caller's in-flight build of the same key was awaited).
     Hit,
     /// A cached session for different inputs was cloned and patched in
     /// place via [`PlannerSession::apply_delta`] (cheaper than a cold
@@ -300,6 +323,7 @@ impl SessionCache {
         SessionCache {
             state: Arc::new(Mutex::new(CacheState {
                 entries: HashMap::new(),
+                in_flight: HashMap::new(),
                 clock: 0,
                 hits: 0,
                 patched: 0,
@@ -317,32 +341,15 @@ impl SessionCache {
     }
 
     /// Fetch the session for `key`, building it with `build` on a miss.
-    /// The build runs under the cache lock (single-flight).
+    /// The build runs outside the cache lock; concurrent misses on the
+    /// same key share one build (see the module docs).
     pub fn get_or_build(
         &self,
         key: SessionKey,
         build: impl FnOnce() -> PlannerSession,
     ) -> (Arc<PlannerSession>, bool) {
-        let mut state = self.state.lock().unwrap();
-        state.clock += 1;
-        let stamp = state.clock;
-
-        if let Some(entry) = state.entries.get_mut(&key) {
-            entry.touched = stamp;
-            let session = Arc::clone(&entry.session);
-            state.hits += 1;
-            self.telemetry.counter("service.cache.hits", 1);
-            return (session, true);
-        }
-
-        state.misses += 1;
-        self.telemetry.counter("service.cache.misses", 1);
-        let session = Arc::new(build());
-
-        state.insert(key, &session, stamp, self.capacity, &self.telemetry);
-        self.telemetry
-            .gauge("service.cache.entries", state.entries.len() as f64);
-        (session, false)
+        let (session, lookup) = self.lookup(key, |_| None, |_| (build(), CacheLookup::Miss));
+        (session, lookup == CacheLookup::Hit)
     }
 
     /// Fetch the session for `key`, revalidating a near-miss before
@@ -351,13 +358,14 @@ impl SessionCache {
     /// On an exact fingerprint hit this is [`SessionCache::get_or_build`].
     /// On a miss, every resident session with the same solver knobs is
     /// classified against the new inputs with [`JobDelta::classify`]; if
-    /// one differs only by a patchable delta (coefficients, prices,
-    /// per-object sizes — not DAG shape), the most recently used such
+    /// one would serve the delta without a rebuild
+    /// ([`PlannerSession::patches_in_place`]: renames, and coefficient or
+    /// price deltas on an unpruned DAG), the most recently used such
     /// donor is cloned and patched via [`PlannerSession::apply_delta`],
     /// which is far cheaper than rebuilding the Fig. 5 DAG and is
-    /// proptest-pinned to answer bit-identically to a cold build. Only if
-    /// no donor qualifies (or the patch degenerated to a rebuild) does
-    /// `build` run.
+    /// proptest-pinned to answer bit-identically to a cold build.
+    /// Otherwise — including every coefficient delta under the default
+    /// pruning — `build` runs once, with no donor cloned.
     ///
     /// The patched session is inserted under `key`; the donor entry is
     /// left untouched, so a tenant alternating between two specs keeps
@@ -374,75 +382,103 @@ impl SessionCache {
         prune: PruneConfig,
         build: impl FnOnce() -> PlannerSession,
     ) -> (Arc<PlannerSession>, CacheLookup) {
-        let mut state = self.state.lock().unwrap();
-        state.clock += 1;
-        let stamp = state.clock;
+        // Near-miss scan: most recently used donor that patches in place
+        // for this delta. `touched` stamps are unique, so the choice is
+        // deterministic.
+        let find_donor = |state: &CacheState| {
+            state
+                .entries
+                .values()
+                .filter(|e| {
+                    let s = &e.session;
+                    s.strategy() == strategy
+                        && s.prune() == prune
+                        && s.patches_in_place(&JobDelta::classify(
+                            s.job(),
+                            s.space(),
+                            s.platform(),
+                            s.catalog(),
+                            job,
+                            space,
+                            platform,
+                            catalog,
+                        ))
+                })
+                .max_by_key(|e| e.touched)
+                .map(|e| Arc::clone(&e.session))
+        };
+        self.lookup(key, find_donor, |donor| match donor {
+            Some(donor) => {
+                let mut patched = (*donor).clone();
+                let outcome = patched.apply_delta(job, platform, catalog, space);
+                // A mapper-coefficient patch that flips a timeout gate
+                // rebuilds: still exact, but it paid the full build
+                // price, so it counts as a miss.
+                let lookup = if outcome == ReplanOutcome::Rebuilt {
+                    CacheLookup::Miss
+                } else {
+                    CacheLookup::Patched
+                };
+                (patched, lookup)
+            }
+            None => (build(), CacheLookup::Miss),
+        })
+    }
 
-        if let Some(entry) = state.entries.get_mut(&key) {
-            entry.touched = stamp;
-            let session = Arc::clone(&entry.session);
+    /// The shared lookup: a hit returns under the lock. A miss picks a
+    /// donor (under the lock), joins or opens the key's in-flight slot,
+    /// and runs `make` outside the lock; the caller whose `make` ran
+    /// inserts the session and counts the miss or patch, and callers
+    /// that awaited it count a hit.
+    fn lookup(
+        &self,
+        key: SessionKey,
+        find_donor: impl FnOnce(&CacheState) -> Option<Arc<PlannerSession>>,
+        make: impl FnOnce(Option<Arc<PlannerSession>>) -> (PlannerSession, CacheLookup),
+    ) -> (Arc<PlannerSession>, CacheLookup) {
+        let (pending, donor) = {
+            let mut state = self.state.lock().unwrap();
+            let stamp = state.tick();
+            if let Some(entry) = state.entries.get_mut(&key) {
+                entry.touched = stamp;
+                let session = Arc::clone(&entry.session);
+                state.hits += 1;
+                self.telemetry.counter("service.cache.hits", 1);
+                return (session, CacheLookup::Hit);
+            }
+            let donor = find_donor(&state);
+            let pending = Arc::clone(state.in_flight.entry(key.clone()).or_default());
+            (pending, donor)
+        };
+
+        let mut made = None;
+        let session = Arc::clone(pending.get_or_init(|| {
+            let (session, lookup) = make(donor);
+            made = Some(lookup);
+            Arc::new(session)
+        }));
+
+        let mut state = self.state.lock().unwrap();
+        let Some(lookup) = made else {
+            // Another caller built it while this one waited.
             state.hits += 1;
             self.telemetry.counter("service.cache.hits", 1);
             return (session, CacheLookup::Hit);
-        }
-
-        // Near-miss scan: most recently used donor whose inputs differ
-        // from the request only by a patchable delta. `touched` stamps
-        // are unique, so the choice is deterministic.
-        let donor = state
-            .entries
-            .values()
-            .filter(|e| {
-                let s = &e.session;
-                s.strategy() == strategy
-                    && s.prune() == prune
-                    && JobDelta::classify(
-                        s.job(),
-                        s.space(),
-                        s.platform(),
-                        s.catalog(),
-                        job,
-                        space,
-                        platform,
-                        catalog,
-                    )
-                    .patchable()
-            })
-            .max_by_key(|e| e.touched)
-            .map(|e| Arc::clone(&e.session));
-
-        if let Some(donor) = donor {
-            let mut patched = (*donor).clone();
-            let outcome = patched.apply_delta(job, platform, catalog, space);
-            if outcome != ReplanOutcome::Rebuilt {
-                let session = Arc::new(patched);
-                state.patched += 1;
-                self.telemetry.counter("service.cache.patched", 1);
-                state.insert(key, &session, stamp, self.capacity, &self.telemetry);
-                self.telemetry
-                    .gauge("service.cache.entries", state.entries.len() as f64);
-                return (session, CacheLookup::Patched);
-            }
-            // The classifier said patchable but the session had to
-            // rebuild anyway (e.g. a recost gate flipped). The rebuilt
-            // session is still exact — keep it, but account for it as a
-            // miss since the full build price was paid.
-            let session = Arc::new(patched);
+        };
+        // Only the slot's successful builder retires it; a builder that
+        // panicked leaves it for the next caller of this key.
+        state.in_flight.remove(&key);
+        if lookup == CacheLookup::Patched {
+            state.patched += 1;
+            self.telemetry.counter("service.cache.patched", 1);
+        } else {
             state.misses += 1;
             self.telemetry.counter("service.cache.misses", 1);
-            state.insert(key, &session, stamp, self.capacity, &self.telemetry);
-            self.telemetry
-                .gauge("service.cache.entries", state.entries.len() as f64);
-            return (session, CacheLookup::Miss);
         }
-
-        state.misses += 1;
-        self.telemetry.counter("service.cache.misses", 1);
-        let session = Arc::new(build());
-        state.insert(key, &session, stamp, self.capacity, &self.telemetry);
+        state.insert(key, &session, self.capacity, &self.telemetry);
         self.telemetry
             .gauge("service.cache.entries", state.entries.len() as f64);
-        (session, CacheLookup::Miss)
+        (session, lookup)
     }
 
     /// Current statistics.
@@ -464,6 +500,10 @@ mod tests {
     use astra_core::Objective;
     use astra_model::WorkloadProfile;
     use astra_pricing::Money;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
 
     fn job(n: usize) -> JobSpec {
         JobSpec::uniform(format!("cache-{n}"), n, 1.0, WorkloadProfile::uniform_test())
@@ -695,6 +735,208 @@ mod tests {
         let (_, lookup) = patch_lookup(&cache, &job(6), &platform, &catalog, prune);
         assert_eq!(lookup, CacheLookup::Miss);
         assert_eq!(cache.stats().patched, 0);
+    }
+
+    #[test]
+    fn hit_rate_counts_patched_lookups() {
+        let stats = SessionCacheStats {
+            hits: 2,
+            patched: 1,
+            misses: 1,
+            ..SessionCacheStats::default()
+        };
+        assert_eq!(stats.hit_rate(), 0.5);
+        assert_eq!(SessionCacheStats::default().hit_rate(), 0.0);
+
+        // The same split produced by real lookups.
+        let cache = SessionCache::new(4, Telemetry::disabled());
+        let platform = Platform::aws_lambda();
+        let catalog = PriceCatalog::aws_2020();
+        let prune = PruneConfig::off();
+        let j = job(4);
+        let mut tweaked = j.clone();
+        tweaked.profile.map_secs_per_mb_128 *= 1.25;
+        patch_lookup(&cache, &j, &platform, &catalog, prune);
+        patch_lookup(&cache, &j, &platform, &catalog, prune);
+        patch_lookup(&cache, &tweaked, &platform, &catalog, prune);
+        patch_lookup(&cache, &tweaked, &platform, &catalog, prune);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.patched, stats.misses), (2, 1, 1));
+        assert_eq!(stats.hit_rate(), 0.5);
+    }
+
+    #[test]
+    fn pruned_near_miss_builds_once_without_a_donor() {
+        let platform = Platform::aws_lambda();
+        let catalog = PriceCatalog::aws_2020();
+        let j = job(4);
+        let mut tweaked = j.clone();
+        tweaked.profile.map_secs_per_mb_128 *= 1.25;
+
+        // Pruned: the coefficient delta can move a pruning verdict, so
+        // the near-miss is one cold build through the caller's closure.
+        let cache = SessionCache::new(4, Telemetry::disabled());
+        patch_lookup(&cache, &j, &platform, &catalog, PruneConfig::on());
+        let space = ConfigSpace::with_tiers(&tweaked, &platform, &[128, 512]);
+        let builds = std::cell::Cell::new(0);
+        let (_, lookup) = cache.get_or_patch(
+            key_for(&tweaked, &platform),
+            &tweaked,
+            &space,
+            &platform,
+            &catalog,
+            Strategy::ExactCsp,
+            PruneConfig::on(),
+            || {
+                builds.set(builds.get() + 1);
+                session_for(&tweaked, &platform)
+            },
+        );
+        assert_eq!(lookup, CacheLookup::Miss);
+        assert_eq!(builds.get(), 1, "the near-miss must run its own build once");
+        let stats = cache.stats();
+        assert_eq!((stats.patched, stats.misses), (0, 2));
+
+        // Unpruned: the same delta is still served by clone-and-patch.
+        let cache = SessionCache::new(4, Telemetry::disabled());
+        patch_lookup(&cache, &j, &platform, &catalog, PruneConfig::off());
+        let (_, lookup) = patch_lookup(&cache, &tweaked, &platform, &catalog, PruneConfig::off());
+        assert_eq!(lookup, CacheLookup::Patched);
+    }
+
+    /// Run `f` on a thread and wait at most 30 s for its result, so a
+    /// lookup that wedges fails the test instead of hanging it.
+    fn within_deadline<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("cache lookup wedged")
+    }
+
+    #[test]
+    fn hit_returns_while_another_key_builds() {
+        let cache = SessionCache::new(4, Telemetry::disabled());
+        let platform = Platform::aws_lambda();
+        let (a, b) = (job(4), job(5));
+        cache.get_or_build(key_for(&a, &platform), || session_for(&a, &platform));
+
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let builder = {
+            let (cache, platform, b) = (cache.clone(), platform.clone(), b.clone());
+            thread::spawn(move || {
+                cache.get_or_build(key_for(&b, &platform), || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    session_for(&b, &platform)
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+
+        // B's build is parked inside its closure; A must still hit.
+        let hit = {
+            let (cache, platform) = (cache.clone(), platform.clone());
+            within_deadline(move || {
+                cache
+                    .get_or_build(key_for(&a, &platform), || panic!("A is resident"))
+                    .1
+            })
+        };
+        assert!(hit);
+
+        release_tx.send(()).unwrap();
+        let (_, hit) = builder.join().unwrap();
+        assert!(!hit);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_build_once() {
+        let cache = SessionCache::new(4, Telemetry::disabled());
+        let platform = Platform::aws_lambda();
+        let j = job(4);
+        let builds = Arc::new(AtomicUsize::new(0));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+
+        let first = {
+            let (cache, platform, j, builds) =
+                (cache.clone(), platform.clone(), j.clone(), Arc::clone(&builds));
+            thread::spawn(move || {
+                cache.get_or_build(key_for(&j, &platform), || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    session_for(&j, &platform)
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        let second = {
+            let (cache, platform, j, builds) =
+                (cache.clone(), platform.clone(), j.clone(), Arc::clone(&builds));
+            thread::spawn(move || {
+                cache.get_or_build(key_for(&j, &platform), || {
+                    builds.fetch_add(1, Ordering::SeqCst);
+                    session_for(&j, &platform)
+                })
+            })
+        };
+        // Give the second caller time to join the in-flight build.
+        thread::sleep(Duration::from_millis(200));
+        release_tx.send(()).unwrap();
+
+        let (s1, hit1) = first.join().unwrap();
+        let (s2, hit2) = second.join().unwrap();
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "the build must run exactly once");
+        assert!(Arc::ptr_eq(&s1, &s2));
+        assert_eq!((hit1, hit2), (false, true));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn panicking_build_hands_off_to_a_waiter() {
+        let cache = SessionCache::new(4, Telemetry::disabled());
+        let platform = Platform::aws_lambda();
+        let j = job(4);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+
+        let doomed = {
+            let (cache, platform, j) = (cache.clone(), platform.clone(), j.clone());
+            thread::spawn(move || {
+                cache.get_or_build(key_for(&j, &platform), || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    panic!("injected build failure");
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+        let waiter = {
+            let (cache, platform, j) = (cache.clone(), platform.clone(), j.clone());
+            thread::spawn(move || {
+                within_deadline(move || {
+                    cache.get_or_build(key_for(&j, &platform), || session_for(&j, &platform))
+                })
+            })
+        };
+        thread::sleep(Duration::from_millis(200));
+        release_tx.send(()).unwrap();
+
+        assert!(doomed.join().is_err(), "the first build panics");
+        let (_, hit) = waiter.join().expect("the waiter must not wedge");
+        assert!(!hit, "the waiter ran its own build");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
+        // The key is healthy afterwards.
+        let (_, hit) = cache.get_or_build(key_for(&j, &platform), || session_for(&j, &platform));
+        assert!(hit);
     }
 
     #[test]

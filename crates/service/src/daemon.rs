@@ -329,9 +329,9 @@ impl Inner {
     }
 
     /// Fetch or create the session for `job` through the shared cache,
-    /// revalidating near-misses: a resident session whose inputs differ
-    /// only by a patchable delta is cloned and patched instead of
-    /// cold-built (see [`SessionCache::get_or_patch`]).
+    /// revalidating near-misses: a resident session that patches the
+    /// delta in place is cloned and patched instead of cold-built (see
+    /// [`SessionCache::get_or_patch`]).
     fn session_cached(
         &self,
         job: &JobSpec,
@@ -745,9 +745,9 @@ impl ServiceHandle {
     /// Resubmit a prior job, optionally with a revised request — the
     /// interactive re-quote path. Returns `None` when `prior` was never
     /// issued by this daemon; otherwise the new job id (the new job is
-    /// planned through the session cache, so a revised spec that differs
-    /// from the prior one only by a patchable delta — tweaked
-    /// coefficients, new prices, resized objects — is served by
+    /// planned through the session cache, so a revised spec the prior
+    /// session can absorb without a rebuild — a rename, or with pruning
+    /// off a tweaked mapper coefficient or new prices — is served by
     /// clone-and-patch instead of a cold DAG build). When `revised` is
     /// `None` the prior request is replayed verbatim (typically an exact
     /// cache hit).

@@ -915,8 +915,8 @@ impl NetClient {
 
     /// Resubmit a prior job, optionally with a revised request — the
     /// interactive re-quote op. The server plans the new job through its
-    /// session cache, patching the prior session in place when the
-    /// revision is a patchable delta. Returns the full response (`id`
+    /// session cache, patching the prior session in place when it can
+    /// absorb the revision without a rebuild. Returns the full response (`id`
     /// and `prior` on success; `UNKNOWN_JOB` if the daemon never issued
     /// `prior`).
     pub fn resubmit(&mut self, prior: JobId, revised: Option<&JobRequest>) -> io::Result<Value> {

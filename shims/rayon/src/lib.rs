@@ -332,9 +332,19 @@ pub mod prelude {
 mod tests {
     use super::prelude::*;
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Every test sets the process-wide thread override (or the env
+    /// var), and the harness runs tests concurrently: hold this while a
+    /// test owns the global configuration.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static GLOBAL_CONFIG: Mutex<()> = Mutex::new(());
+        GLOBAL_CONFIG.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn map_preserves_order_across_thread_counts() {
+        let _config = exclusive();
         let input: Vec<u64> = (0..10_000).collect();
         let expect: Vec<u64> = input.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8] {
@@ -347,6 +357,7 @@ mod tests {
 
     #[test]
     fn reduce_is_deterministic_for_associative_ops() {
+        let _config = exclusive();
         let input: Vec<u64> = (1..=1000).collect();
         for threads in [1, 2, 7] {
             set_global_threads(threads);
@@ -358,6 +369,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_every_item() {
+        let _config = exclusive();
         use std::sync::atomic::{AtomicUsize, Ordering};
         let hits = AtomicUsize::new(0);
         set_global_threads(4);
@@ -373,6 +385,7 @@ mod tests {
 
     #[test]
     fn env_var_is_read_dynamically() {
+        let _config = exclusive();
         set_global_threads(0);
         std::env::set_var("RAYON_NUM_THREADS", "3");
         assert_eq!(current_num_threads(), 3);
@@ -381,8 +394,8 @@ mod tests {
 
     #[test]
     fn with_min_len_caps_worker_fanout() {
+        let _config = exclusive();
         use std::collections::HashSet;
-        use std::sync::Mutex;
         set_global_threads(8);
         let seen = Mutex::new(HashSet::new());
         (0..8usize)
@@ -403,6 +416,7 @@ mod tests {
 
     #[test]
     fn min_len_survives_adapter_chains() {
+        let _config = exclusive();
         set_global_threads(8);
         let out: Vec<usize> = (0..10usize)
             .collect::<Vec<_>>()
@@ -418,6 +432,7 @@ mod tests {
 
     #[test]
     fn min_by_keeps_first_minimum() {
+        let _config = exclusive();
         set_global_threads(2);
         let items = vec![(3, 'a'), (1, 'b'), (1, 'c'), (2, 'd')];
         let got = items.into_par_iter().min_by(|a, b| a.0.cmp(&b.0)).unwrap();

@@ -1,13 +1,14 @@
 //! Incremental re-planning equivalence: a session carried through a
 //! chain of [`PlannerSession::apply_delta`] calls must answer every
 //! query **bit-identically** to a session cold-built at the same final
-//! inputs — whichever repair tier each delta took (fast recost, recipe
-//! replay, or full rebuild), at any rayon thread count, with the answer
+//! inputs — whichever repair tier each delta took (unchanged, fast
+//! recost, or full rebuild), at any rayon thread count, with the answer
 //! memo engaged.
 //!
 //! The suite also pins the observable repair tiers for representative
-//! deltas (coefficient/price → in-place patch on unpruned DAGs; shape
-//! changes → rebuild) and that memo-served answers equal fresh solves.
+//! deltas (mapper-coefficient/price → in-place patch on unpruned DAGs;
+//! other coefficients, pruned DAGs and shape changes → rebuild) and that
+//! memo-served answers equal fresh solves.
 
 use astra::core::{
     ConfigSpace, Objective, PlannerSession, PruneConfig, ReplanOutcome,
@@ -193,7 +194,8 @@ proptest! {
         run_chain(&steps, SolverStrategy::ExactCsp, PruneConfig::off(), 1);
     }
 
-    /// Random delta chains, pruned exact sessions (replay tier).
+    /// Random delta chains, pruned exact sessions (every model-bearing
+    /// delta rebuilds; renames keep the session).
     #[test]
     fn delta_chains_match_cold_sessions_pruned(
         steps in proptest::collection::vec(arb_step(), 1..5)
@@ -264,9 +266,9 @@ fn outcomes_follow_the_delta_taxonomy() {
     catalog.lambda.per_gb_second = Money::from_nanos(catalog.lambda.per_gb_second.nanos() * 2);
     assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Patched);
 
-    // Reduce coefficient: outside the fast tier — recipe replay.
+    // Reduce coefficient: outside the fast tier — rebuild.
     job.profile.reduce_secs_per_mb_128 *= 1.01;
-    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Replayed);
+    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Rebuilt);
 
     // Input-count change: reshape — rebuild.
     job = JobSpec::uniform(&job.name, 8, 2.0, job.profile.clone());
