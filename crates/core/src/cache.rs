@@ -9,6 +9,15 @@
 //! `(job, platform)` pair so that repeated evaluations — across DAG
 //! edges, exhaustive sweeps and frontier walks — are computed once.
 //!
+//! The DAG builder uses the mapper-phase, output and reduce-structure
+//! memos but not the reduce-tier-times one: each column-3 recipe derives
+//! its tier times once from the reduce structure and never needs them
+//! again, so a memo insert per `(k_M, k_R, tier)` would only add
+//! write-lock traffic across the build's threads.
+//! [`ModelCache::reduce_tier_times`] stays for [`ModelCache::evaluate`],
+//! whose exhaustive sweeps revisit each entry once per mapper and
+//! coordinator tier, and for the re-plan recost.
+//!
 //! ## Cache invariants
 //!
 //! 1. **Keys are total.** Every cached value is a pure function of its

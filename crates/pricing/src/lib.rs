@@ -21,7 +21,7 @@ pub mod s3;
 pub mod vm;
 
 pub use catalog::PriceCatalog;
-pub use lambda::LambdaPricing;
+pub use lambda::{BillingCursor, LambdaPricing};
 pub use money::Money;
 pub use s3::S3Pricing;
 pub use vm::{VmPricing, M3_XLARGE};
