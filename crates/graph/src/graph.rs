@@ -151,35 +151,49 @@ impl<N, E> DiGraph<N, E> {
         self.out_edges(node).count()
     }
 
-    /// A topological order of the nodes, or `None` if the graph has a cycle.
+    /// A topological order of the nodes, or `None` if the graph has a
+    /// cycle: [`kahn_order`] with successors in `out_edges` order.
     pub fn topological_order(&self) -> Option<Vec<NodeId>> {
-        let n = self.nodes.len();
-        let mut in_deg = vec![0usize; n];
-        for e in &self.edges {
-            in_deg[e.to.0 as usize] += 1;
-        }
-        let mut stack: Vec<NodeId> = (0..n as u32)
-            .map(NodeId)
-            .filter(|id| in_deg[id.0 as usize] == 0)
-            .collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = stack.pop() {
-            order.push(u);
-            for (eid, _) in self.out_edges(u) {
-                let (_, v) = self.endpoints(eid);
-                in_deg[v.0 as usize] -= 1;
-                if in_deg[v.0 as usize] == 0 {
-                    stack.push(v);
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
+        let order = kahn_order(self.nodes.len(), self.edges.iter().map(|e| e.to.0), |u| {
+            self.out_edges(NodeId(u))
+                .map(|(eid, _)| self.endpoints(eid).1 .0)
+        })?;
+        Some(order.into_iter().map(NodeId).collect())
     }
 
     /// True iff the graph is acyclic.
     pub fn is_dag(&self) -> bool {
         self.topological_order().is_some()
     }
+}
+
+/// Kahn's algorithm over nodes `0..n`: `heads` lists the head of every
+/// edge and `successors(u)` the heads of `u`'s out-edges. Nodes with no
+/// incoming edge are stacked in id order and a node's successors are
+/// visited in the order `successors` gives, so any two stores that list
+/// the same successors in the same order get the same order back.
+/// Returns `None` if the graph has a cycle.
+pub fn kahn_order<S: IntoIterator<Item = u32>>(
+    n: usize,
+    heads: impl IntoIterator<Item = u32>,
+    mut successors: impl FnMut(u32) -> S,
+) -> Option<Vec<u32>> {
+    let mut in_deg = vec![0u32; n];
+    for v in heads {
+        in_deg[v as usize] += 1;
+    }
+    let mut stack: Vec<u32> = (0..n as u32).filter(|&v| in_deg[v as usize] == 0).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(u) = stack.pop() {
+        order.push(u);
+        for v in successors(u) {
+            in_deg[v as usize] -= 1;
+            if in_deg[v as usize] == 0 {
+                stack.push(v);
+            }
+        }
+    }
+    (order.len() == n).then_some(order)
 }
 
 /// Iterator over a node's out-edges.

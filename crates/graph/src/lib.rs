@@ -29,5 +29,5 @@ pub use csp::{
     CspSolution, CspStats, EdgeExpand, Potentials,
 };
 pub use dijkstra::{shortest_path, shortest_path_guided, ShortestPath};
-pub use graph::{DiGraph, EdgeId, NodeId};
+pub use graph::{kahn_order, DiGraph, EdgeId, NodeId};
 pub use yen::KShortestPaths;
