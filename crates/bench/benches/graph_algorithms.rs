@@ -1,19 +1,25 @@
-//! Scaling of the graph substrate: Dijkstra, the exact constrained
-//! shortest path, and Yen's k-shortest paths on layered DAGs shaped like
-//! the planner's.
+//! Scaling of the graph substrate: Dijkstra and the exact constrained
+//! shortest path on layered DAGs shaped like the planner's.
 
-use astra_graph::csp::constrained_shortest_path;
-use astra_graph::dijkstra::shortest_path_all;
-use astra_graph::yen::KShortestPaths;
-use astra_graph::{DiGraph, NodeId};
+use astra_graph::{
+    constrained_shortest_path, shortest_path, ClosureExpand, DiGraph, EdgeId, NodeId,
+};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 
+type G = DiGraph<(), (f64, f64)>;
+type Metric = fn(EdgeId, &(f64, f64)) -> f64;
+
+/// Weight = time, resource = cost.
+fn view(g: &G) -> ClosureExpand<'_, (), (f64, f64), Metric, Metric> {
+    ClosureExpand::new(g, |_, e| e.0, |_, e| e.1)
+}
+
 /// A layered DAG with `layers` columns of `width` nodes, fully connected
 /// layer to layer, carrying (time, cost) pairs.
-fn layered(width: usize, layers: usize, seed: u64) -> (DiGraph<(), (f64, f64)>, NodeId, NodeId) {
+fn layered(width: usize, layers: usize, seed: u64) -> (G, NodeId, NodeId) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = DiGraph::new();
     let s = g.add_node(());
@@ -40,7 +46,7 @@ fn bench_dijkstra(c: &mut Criterion) {
         let (g, s, t) = layered(width, 5, 1);
         group.bench_function(format!("width={width}"), |b| {
             b.iter(|| {
-                shortest_path_all(black_box(&g), s, t, |_, e| e.0)
+                shortest_path(&mut view(black_box(&g)), s.0, t.0, None, |_| true)
                     .unwrap()
                     .weight
             })
@@ -58,7 +64,7 @@ fn bench_csp(c: &mut Criterion) {
         let bound = 5.0 * 5.0;
         group.bench_function(format!("width={width}"), |b| {
             b.iter(|| {
-                constrained_shortest_path(black_box(&g), s, t, bound, |_, e| e.0, |_, e| e.1)
+                constrained_shortest_path(&mut view(black_box(&g)), s.0, t.0, bound)
                     .map(|sol| sol.weight)
             })
         });
@@ -66,21 +72,5 @@ fn bench_csp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_yen(c: &mut Criterion) {
-    let mut group = c.benchmark_group("yen_k_shortest_k=25");
-    for width in [8usize, 16, 32] {
-        let (g, s, t) = layered(width, 4, 3);
-        group.bench_function(format!("width={width}"), |b| {
-            b.iter(|| {
-                KShortestPaths::new(black_box(&g), s, t, |_, e| e.0)
-                    .take(25)
-                    .map(|p| p.weight)
-                    .sum::<f64>()
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_dijkstra, bench_csp, bench_yen);
+criterion_group!(benches, bench_dijkstra, bench_csp);
 criterion_main!(benches);

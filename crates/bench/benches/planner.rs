@@ -15,7 +15,7 @@ fn bench_dag_build(c: &mut Criterion) {
     for (label, job) in paper_jobs() {
         let space = full_space(&astra, &job);
         group.bench_function(&label, |b| {
-            b.iter(|| black_box(astra.build_dag(&job, &space)).graph().edge_count())
+            b.iter(|| black_box(astra.build_dag(&job, &space)).soa().edges_stored())
         });
     }
     group.finish();
@@ -59,11 +59,12 @@ fn bench_dag_scaling(c: &mut Criterion) {
         group.bench_function(format!("N={n}"), |b| {
             b.iter(|| {
                 let dag = astra.build_dag(&job, &space);
-                astra_graph::dijkstra::shortest_path_all(
-                    dag.graph(),
-                    dag.source(),
-                    dag.sink(),
-                    |_, m| m.time_s,
+                astra_graph::shortest_path(
+                    &mut dag.soa().time_view(),
+                    dag.source().0,
+                    dag.sink().0,
+                    None,
+                    |_| true,
                 )
                 .unwrap()
                 .weight

@@ -14,10 +14,8 @@
 //! it. The recursion is expressed iteratively here; termination is
 //! guaranteed because each round removes one edge.
 
-use std::collections::HashSet;
-
-use astra_graph::dijkstra::{shortest_path, shortest_path_guided, ShortestPath};
-use astra_graph::{DiGraph, EdgeId, NodeId};
+use astra_graph::dijkstra::{shortest_path, ShortestPath};
+use astra_graph::EdgeExpand;
 
 /// Outcome of Algorithm 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,57 +28,60 @@ pub struct Alg1Solution {
     pub edges_removed: usize,
 }
 
-/// Run Algorithm 1: minimize `weight` subject to the path-sum of
-/// `constraint_metric` staying **below** `bound` (the paper's line 6 tests
-/// `cost >= budget`, i.e. the bound itself is infeasible; pass a slightly
-/// inflated bound for `<=` semantics — [`crate::solver`] does).
+/// Run Algorithm 1 on `g`: minimize the store's weight subject to the
+/// path-sum of its resource (the constraint metric) staying **below**
+/// `bound` (the paper's line 6 tests `cost >= budget`, i.e. the bound
+/// itself is infeasible; pass a slightly inflated bound for `<=`
+/// semantics — [`crate::solver`] does).
 ///
-/// Returns `None` if edge removal exhausts every path.
-pub fn algorithm1<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    bound: f64,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-    constraint_metric: impl FnMut(EdgeId, &E) -> f64,
-) -> Option<Alg1Solution> {
-    algorithm1_capped(g, source, target, bound, usize::MAX, weight, constraint_metric)
-}
-
-/// [`algorithm1`] with a cap on edge removals. The paper's recursion can
+/// `max_removals` caps the edge removals. The paper's recursion can
 /// degenerate on large DAGs with tight bounds — each round removes one
 /// edge and re-runs Dijkstra, and nothing stops it short of exhausting
 /// the edge set (observed: minutes on the 157k-edge Sort DAG before
 /// giving up). Production callers bound it; the `alg1_vs_exact` ablation
 /// measures both the cap hit rate and the optimality gap.
-pub fn algorithm1_capped<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
+///
+/// `lb_weight` optionally guides every Dijkstra round A*-style with
+/// backward lower bounds on the remaining weight to `target` over the
+/// **unmasked** graph. They are computed once and serve every round:
+/// masking edges only raises true remaining distances, so a bound that
+/// is admissible and consistent on the full graph stays so on every
+/// masked subgraph (see [`astra_graph::dijkstra::shortest_path`]). On the
+/// planner DAG the session's backward potentials serve directly. Each
+/// guided round settles far fewer nodes, but finds a path of the same
+/// weight as the plain search's, so the heuristic's decisions are driven
+/// by the same quantities.
+///
+/// Returns `None` if edge removal exhausts every path or hits the cap.
+pub fn algorithm1<X: EdgeExpand>(
+    g: &mut X,
+    source: u32,
+    target: u32,
     bound: f64,
     max_removals: usize,
-    mut weight: impl FnMut(EdgeId, &E) -> f64,
-    mut constraint_metric: impl FnMut(EdgeId, &E) -> f64,
+    lb_weight: Option<&[f64]>,
 ) -> Option<Alg1Solution> {
-    let mut removed: HashSet<EdgeId> = HashSet::new();
+    // Removed edges, as a bitset over edge ids grown on insert. An edge
+    // is removed at most once (a masked edge is never on a later path),
+    // so the insert count is the removal count.
+    let mut removed: Vec<u64> = Vec::new();
+    let mut edges_removed = 0;
     loop {
-        if removed.len() > max_removals {
+        if edges_removed > max_removals {
             return None;
         }
-        let path = shortest_path(
-            g,
-            source,
-            target,
-            |e, p| weight(e, p),
-            |e| !removed.contains(&e),
-        )?;
+        let path = shortest_path(g, source, target, lb_weight, |e| {
+            removed
+                .get(e.0 as usize / 64)
+                .is_none_or(|&w| w >> (e.0 % 64) & 1 == 0)
+        })?;
 
         // Walk the path, accumulating the constraint (Algorithm 1 lines
         // 4–10).
         let mut acc = 0.0;
         let mut offender = None;
-        for &e in &path.edges {
-            acc += constraint_metric(e, g.edge(e));
+        for (&e, &r) in path.edges.iter().zip(&path.resources) {
+            acc += r;
             if acc >= bound {
                 offender = Some(e);
                 break;
@@ -91,75 +92,16 @@ pub fn algorithm1_capped<N, E>(
                 return Some(Alg1Solution {
                     constraint: acc,
                     path,
-                    edges_removed: removed.len(),
+                    edges_removed,
                 });
             }
             Some(e) => {
-                removed.insert(e);
-            }
-        }
-    }
-}
-
-/// [`algorithm1_capped`] with every Dijkstra run A*-guided by backward
-/// lower bounds on the objective (`lb_weight[v]` = a lower bound on the
-/// remaining weight from `v` to `target` on the **unmasked** graph).
-///
-/// The bounds are computed once and reused across all removal rounds:
-/// masking edges only raises true remaining distances, so a bound that
-/// is admissible and consistent on the full graph stays so on every
-/// masked subgraph (see `astra_graph::dijkstra::shortest_path_guided`).
-/// On the planner DAG the session's backward potentials serve directly.
-///
-/// Each round settles far fewer nodes than a full Dijkstra (the guided
-/// search never expands nodes whose optimistic completion exceeds the
-/// target's), but the path found per round has the same weight as the
-/// plain search's, so the heuristic's decisions are driven by the same
-/// quantities.
-#[allow(clippy::too_many_arguments)]
-pub fn algorithm1_guided_capped<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    bound: f64,
-    max_removals: usize,
-    lb_weight: &[f64],
-    mut weight: impl FnMut(EdgeId, &E) -> f64,
-    mut constraint_metric: impl FnMut(EdgeId, &E) -> f64,
-) -> Option<Alg1Solution> {
-    let mut removed: HashSet<EdgeId> = HashSet::new();
-    loop {
-        if removed.len() > max_removals {
-            return None;
-        }
-        let path = shortest_path_guided(
-            g,
-            source,
-            target,
-            |e, p| weight(e, p),
-            |e| !removed.contains(&e),
-            lb_weight,
-        )?;
-
-        let mut acc = 0.0;
-        let mut offender = None;
-        for &e in &path.edges {
-            acc += constraint_metric(e, g.edge(e));
-            if acc >= bound {
-                offender = Some(e);
-                break;
-            }
-        }
-        match offender {
-            None => {
-                return Some(Alg1Solution {
-                    constraint: acc,
-                    path,
-                    edges_removed: removed.len(),
-                });
-            }
-            Some(e) => {
-                removed.insert(e);
+                let word = e.0 as usize / 64;
+                if removed.len() <= word {
+                    removed.resize(word + 1, 0);
+                }
+                removed[word] |= 1 << (e.0 % 64);
+                edges_removed += 1;
             }
         }
     }
@@ -168,14 +110,19 @@ pub fn algorithm1_guided_capped<N, E>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use astra_graph::{ClosureExpand, DiGraph, EdgeId, NodeId};
 
     type G = DiGraph<(), (f64, f64)>;
+    type Metric = fn(EdgeId, &(f64, f64)) -> f64;
 
-    fn w(_: EdgeId, e: &(f64, f64)) -> f64 {
-        e.0
+    /// Weight = the payload's `.0`, constraint = its `.1`.
+    fn x(g: &G) -> ClosureExpand<'_, (), (f64, f64), Metric, Metric> {
+        ClosureExpand::new(g, |_, e| e.0, |_, e| e.1)
     }
-    fn c(_: EdgeId, e: &(f64, f64)) -> f64 {
-        e.1
+
+    /// Uncapped, unguided Algorithm 1.
+    fn alg1(g: &G, s: NodeId, t: NodeId, bound: f64) -> Option<Alg1Solution> {
+        algorithm1(&mut x(g), s.0, t.0, bound, usize::MAX, None)
     }
 
     #[test]
@@ -187,7 +134,7 @@ mod tests {
         g.add_edge(s, a, (1.0, 1.0));
         g.add_edge(a, t, (1.0, 1.0));
         g.add_edge(s, t, (5.0, 0.5));
-        let sol = algorithm1(&g, s, t, f64::INFINITY, w, c).unwrap();
+        let sol = alg1(&g, s, t, f64::INFINITY).unwrap();
         assert_eq!(sol.path.weight, 2.0);
         assert_eq!(sol.constraint, 2.0);
         assert_eq!(sol.edges_removed, 0);
@@ -206,7 +153,7 @@ mod tests {
         // Slow path, constraint 2.
         g.add_edge(s, b, (3.0, 1.0));
         g.add_edge(b, t, (3.0, 1.0));
-        let sol = algorithm1(&g, s, t, 4.0, w, c).unwrap();
+        let sol = alg1(&g, s, t, 4.0).unwrap();
         assert_eq!(sol.path.weight, 6.0);
         assert_eq!(sol.constraint, 2.0);
         assert!(sol.edges_removed >= 1);
@@ -220,8 +167,8 @@ mod tests {
         let s = g.add_node(());
         let t = g.add_node(());
         g.add_edge(s, t, (1.0, 4.0));
-        assert!(algorithm1(&g, s, t, 4.0, w, c).is_none());
-        assert!(algorithm1(&g, s, t, 4.0 + 1e-9, w, c).is_some());
+        assert!(alg1(&g, s, t, 4.0).is_none());
+        assert!(alg1(&g, s, t, 4.0 + 1e-9).is_some());
     }
 
     #[test]
@@ -231,7 +178,7 @@ mod tests {
         let t = g.add_node(());
         g.add_edge(s, t, (1.0, 100.0));
         g.add_edge(s, t, (2.0, 50.0));
-        assert!(algorithm1(&g, s, t, 10.0, w, c).is_none());
+        assert!(alg1(&g, s, t, 10.0).is_none());
     }
 
     #[test]
@@ -247,14 +194,12 @@ mod tests {
             g.add_edge(s, m, (w, 6.0 - idx as f64 * 0.1));
             g.add_edge(m, t, (w * 1.7, 6.0 - idx as f64 * 0.11));
         }
-        let lb = astra_graph::csp::dag_potentials(&g, t, |_, e| e.0, |_, _| 0.0)
+        let lb = astra_graph::dag_potentials(&mut x(&g), t.0)
             .unwrap()
             .min_weight_to;
         for bound in [1.0, 5.0, 9.0, 11.0, f64::INFINITY] {
-            let plain = algorithm1_capped(&g, s, t, bound, 100, |_, e| e.0, |_, e| e.1);
-            let guided = algorithm1_guided_capped(
-                &g, s, t, bound, 100, &lb, |_, e| e.0, |_, e| e.1,
-            );
+            let plain = algorithm1(&mut x(&g), s.0, t.0, bound, 100, None);
+            let guided = algorithm1(&mut x(&g), s.0, t.0, bound, 100, Some(&lb));
             match (plain, guided) {
                 (None, None) => {}
                 (Some(p), Some(q)) => {
@@ -284,7 +229,7 @@ mod tests {
         let slow = g.add_node(());
         g.add_edge(s, slow, (50.0, 0.1));
         g.add_edge(slow, t, (50.0, 0.1));
-        let sol = algorithm1(&g, s, t, 5.0, w, c).unwrap();
+        let sol = alg1(&g, s, t, 5.0).unwrap();
         assert_eq!(sol.path.weight, 100.0);
         // One removal per infeasible path prefix tried.
         assert!(sol.edges_removed >= 20);

@@ -11,8 +11,7 @@ use crate::objective::Objective;
 use crate::plan::Plan;
 use crate::session::{effective_prune, PlannerSession};
 use crate::solver::{
-    solve_exhaustive_with_telemetry, solve_on_dag, solve_on_dag_with_potentials,
-    PlannerPotentials, Strategy,
+    solve_exhaustive_with_telemetry, solve_on_dag_with_potentials, PlannerPotentials, Strategy,
 };
 use crate::space::ConfigSpace;
 
@@ -180,22 +179,18 @@ impl Astra {
                 let solved = {
                     let mut span = self.telemetry.wall_span("planner", "solve", "planner");
                     span.set_parent(plan_span.id());
-                    if matches!(self.strategy, Strategy::ExactCsp | Strategy::Algorithm1) {
-                        // One extra reverse-topological sweep buys the
-                        // A*-guided, bound-pruned label search (and, for
-                        // Algorithm 1, guided Dijkstra in every
-                        // edge-removal round).
-                        let potentials = PlannerPotentials::compute(&dag);
-                        solve_on_dag_with_potentials(
-                            &dag,
-                            &potentials,
-                            objective,
-                            self.strategy,
-                            &self.telemetry,
-                        )
-                    } else {
-                        solve_on_dag(&dag, objective, self.strategy)
-                    }
+                    // One extra reverse-topological sweep buys the
+                    // A*-guided, bound-pruned label search (and, for
+                    // Algorithm 1, guided Dijkstra in every edge-removal
+                    // round).
+                    let potentials = PlannerPotentials::compute(&dag);
+                    solve_on_dag_with_potentials(
+                        &dag,
+                        &potentials,
+                        objective,
+                        self.strategy,
+                        &self.telemetry,
+                    )
                 };
                 if self.telemetry.enabled() {
                     let stats = cache.stats();
@@ -216,7 +211,7 @@ impl Astra {
     }
 
     /// Build (and return) the planner DAG for `job` — exposed for
-    /// inspection, DOT export and the scaling benches.
+    /// inspection and the scaling benches.
     pub fn build_dag(&self, job: &JobSpec, space: &ConfigSpace) -> PlannerDag {
         PlannerDag::build_with(
             job,

@@ -90,28 +90,36 @@
 //! analytical model once per `(k_M, tier)` for the mapper edges and once
 //! per `(k_M, k_R, tier)` for the reduce edges. [`PlannerDag::build`]
 //! evaluates those edge metrics in parallel (rayon) as side-effect-free
-//! *recipes*, then assembles the graph serially from the collected
+//! *recipes*, then assembles the DAG serially from the collected
 //! recipes in a fixed order — `k_M` in `space.k_m_values` order, `k_R`
 //! in candidate order, tiers in `space.memory_tiers_mb` order — so node
 //! and edge IDs are identical for every thread count and identical to
 //! [`PlannerDag::build_serial`], which runs the same recipe functions on
-//! one thread (equivalence tests assert graph-level bit-identity).
+//! one thread (equivalence tests assert store-level bit-identity).
 //!
 //! A column-3 recipe prices each `(coordinator, reducer)` pair once, into
 //! the table above. Its reducer-tier times come straight from the pair's
 //! reduce structure rather than through the [`ModelCache`] memo: no build
 //! reads a tier entry twice, so memoizing them only bought write-lock
-//! traffic across threads. The flat [`SoaEdges`] store is then laid out
-//! from the assembled edge arena by one counting sort by tail, in the
-//! graph's own `out_edges` order, and runs the graph's topological sort
-//! ([`kahn_order`]) on its flat arrays, so both match the graph slot for
-//! slot (a golden-digest test pins the whole build, answers included,
-//! bit for bit).
+//! traffic across threads.
+//!
+//! ## The edge store
+//!
+//! The DAG's only edge storage is the flat CSR store [`SoaEdges`], next
+//! to the node labels. Assembly appends every edge as `(tail, head,
+//! metrics)` to one list, in the order above; an edge's id is its index
+//! in that list. `SoaEdges::build` lays the list out by one counting
+//! sort by tail, newest edge first within a tail, and computes the
+//! topological order ([`kahn_order`]) on the flat arrays. Every solver —
+//! the exact CSP, its plain oracle, Algorithm 1 and the potentials DP —
+//! iterates the store's `time_view`/`cost_view`, and an in-place recost
+//! writes straight into it. A golden-digest test pins the whole build,
+//! answers included, bit for bit.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use astra_graph::csp::EdgeExpand;
-use astra_graph::{kahn_order, DiGraph, EdgeId, NodeId};
+use astra_graph::{kahn_order, EdgeExpand, EdgeId, NodeId};
 use astra_model::cost::{
     coordinator_storage_cost, mapper_edge_cost, orchestration_requests_cost, reduce_edge_cost,
 };
@@ -245,27 +253,26 @@ impl PruneStats {
     }
 }
 
-/// The built planner DAG for one job.
+/// The built planner DAG for one job: node labels (a node's id is its
+/// index) and the edge store.
 #[derive(Clone)]
 pub struct PlannerDag {
-    graph: DiGraph<Choice, EdgeMetrics>,
+    nodes: Vec<Choice>,
     source: NodeId,
     sink: NodeId,
     prune_stats: PruneStats,
     soa: SoaEdges,
 }
 
-/// Flat struct-of-arrays mirror of the planner graph's edges in CSR
-/// form: per-node slot ranges (`offsets`), and parallel `heads`,
-/// `edge_ids`, `times`, `costs` and `multiplicity` arrays the solvers
-/// iterate linearly instead of chasing the arena's intrusive lists.
+/// The planner DAG's edge store, in CSR struct-of-arrays form: per-node
+/// slot ranges (`offsets`), and parallel `heads`, `edge_ids`, `times`,
+/// `costs` and `multiplicity` arrays the solvers iterate linearly, plus
+/// a topological order (`topo`).
 ///
-/// Slot order within a node is **exactly** `DiGraph::out_edges` order
-/// (most-recently-added first), and the stored topological order is the
-/// graph's own, so the potentials DP and the CSP label search perform
-/// the identical floating-point operations in the identical order as
-/// the closure-over-`DiGraph` path — answers are bit-identical
-/// (`tests/prune_equivalence.rs` gates this).
+/// A node's slots hold its out-edges newest first (descending edge id),
+/// and `topo` is [`kahn_order`] over the slots. Every exact tie in the
+/// searches is broken by this expansion order, so it is part of the
+/// answer: the golden digests pin it.
 ///
 /// `multiplicity[i]` records how many raw configuration-space candidates
 /// edge `i` represents when the space was built by
@@ -284,21 +291,21 @@ pub struct SoaEdges {
 }
 
 impl SoaEdges {
-    /// Lay the graph's edge arena out in CSR form with one counting sort
-    /// by tail. `DiGraph::out_edges` walks a node's edges newest first,
-    /// so filling each tail's slots in descending edge id reproduces it
-    /// exactly, and [`kahn_order`] over the slots then returns
-    /// `DiGraph::topological_order` without walking the graph's lists.
+    /// Lay out the assembled edge list (`edges[id] = (tail, head,
+    /// metrics)`) over the labelled `nodes` in CSR form, with one
+    /// counting sort by tail that fills each tail's slots in descending
+    /// edge id.
     fn build(
-        g: &DiGraph<Choice, EdgeMetrics>,
+        nodes: &[Choice],
+        edges: &[(u32, u32, EdgeMetrics)],
         space: &ConfigSpace,
         j_of_k_m: &HashMap<usize, usize>,
     ) -> SoaEdges {
-        let (n, e) = (g.node_count(), g.edge_count());
+        let (n, e) = (nodes.len(), edges.len());
         // An edge's multiplicity depends only on its head node.
-        let node_multiplicity: Vec<u32> = g
-            .node_ids()
-            .map(|v| match *g.node(v) {
+        let node_multiplicity: Vec<u32> = nodes
+            .iter()
+            .map(|&v| match v {
                 Choice::ObjectsPerMapper(k_m) => space.k_m_weight(k_m) as u32,
                 Choice::ObjectsPerReducer { k_m, k_r } => j_of_k_m
                     .get(&k_m)
@@ -307,8 +314,8 @@ impl SoaEdges {
             })
             .collect();
         let mut offsets = vec![0u32; n + 1];
-        for eid in g.edge_ids() {
-            offsets[g.endpoints(eid).0 .0 as usize + 1] += 1;
+        for &(tail, _, _) in edges {
+            offsets[tail as usize + 1] += 1;
         }
         for u in 0..n {
             offsets[u + 1] += offsets[u];
@@ -319,24 +326,22 @@ impl SoaEdges {
         let mut times = vec![0.0f64; e];
         let mut costs = vec![0i64; e];
         let mut multiplicity = vec![0u32; e];
-        for eid in (0..e as u32).rev().map(EdgeId) {
-            let (tail, head) = g.endpoints(eid);
-            let slot = &mut next_slot[tail.0 as usize];
+        for (eid, &(tail, head, m)) in edges.iter().enumerate().rev() {
+            let slot = &mut next_slot[tail as usize];
             let i = *slot as usize;
             *slot += 1;
-            let m = g.edge(eid);
-            heads[i] = head.0;
-            edge_ids[i] = eid.0;
+            heads[i] = head;
+            edge_ids[i] = eid as u32;
             times[i] = m.time_s;
             costs[i] = m.cost_nanos;
-            multiplicity[i] = node_multiplicity[head.0 as usize];
+            multiplicity[i] = node_multiplicity[head as usize];
         }
         let topo = kahn_order(n, heads.iter().copied(), |u| {
             heads[offsets[u as usize] as usize..offsets[u as usize + 1] as usize]
                 .iter()
                 .copied()
         })
-        .expect("planner graph is acyclic by construction");
+        .expect("planner DAG is acyclic by construction");
         SoaEdges {
             offsets,
             heads,
@@ -348,27 +353,56 @@ impl SoaEdges {
         }
     }
 
-    /// Re-copy `times`/`costs` from the graph's edge payloads after an
-    /// in-place recost, for the out-edges of the marked tail nodes only
-    /// — the store is grouped by tail, so a recost that tracked its
-    /// dirty tails pays for the affected slices instead of the whole
-    /// edge array. Topology (`offsets`/`heads`/`edge_ids`/
-    /// `multiplicity`/`topo`) is untouched — callers guarantee the
-    /// graph's shape did not change.
-    fn refresh_metrics_on(&mut self, g: &DiGraph<Choice, EdgeMetrics>, tails: &[bool]) {
-        debug_assert_eq!(tails.len() + 1, self.offsets.len());
-        for u in tails.iter().enumerate().filter(|&(_, &d)| d).map(|(u, _)| u) {
-            for i in self.offsets[u] as usize..self.offsets[u + 1] as usize {
-                let m = g.edge(EdgeId(self.edge_ids[i]));
-                self.times[i] = m.time_s;
-                self.costs[i] = m.cost_nanos;
-            }
-        }
-    }
-
     /// Number of edges in the flat store.
     pub fn edges_stored(&self) -> usize {
         self.times.len()
+    }
+
+    /// Node `u`'s out-edge slots.
+    pub fn slots(&self, u: u32) -> Range<usize> {
+        self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize
+    }
+
+    /// Per-node slot offsets (`node_count + 1` entries).
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Head node of each slot's edge.
+    pub fn heads(&self) -> &[u32] {
+        &self.heads
+    }
+
+    /// Assembly-order id of each slot's edge.
+    pub fn edge_ids(&self) -> &[u32] {
+        &self.edge_ids
+    }
+
+    /// Time metric (seconds) of each slot's edge.
+    pub fn times(&self) -> &[f64] {
+        &self.times
+    }
+
+    /// Cost metric (nano-dollars) of each slot's edge.
+    pub fn costs(&self) -> &[i64] {
+        &self.costs
+    }
+
+    /// Raw configuration candidates each slot's edge stands for.
+    pub fn multiplicity(&self) -> &[u32] {
+        &self.multiplicity
+    }
+
+    /// The stored topological order over all nodes.
+    pub fn topo(&self) -> &[u32] {
+        &self.topo
+    }
+
+    /// Overwrite slot `i`'s metrics in place (an in-place recost; the
+    /// topology never changes).
+    pub(crate) fn set_metrics(&mut self, i: usize, m: EdgeMetrics) {
+        self.times[i] = m.time_s;
+        self.costs[i] = m.cost_nanos;
     }
 
     /// Raw configuration candidates folded into representative edges
@@ -392,9 +426,8 @@ impl SoaEdges {
 
 /// Linear-scan [`EdgeExpand`] adapter over [`SoaEdges`]. The const
 /// parameter selects the weight/resource orientation; cost is converted
-/// to micro-dollars by the same `cost_nanos as f64 * 1e-3` expression
-/// the closure-based solver path uses, so both paths feed the CSP core
-/// bit-identical operands.
+/// to micro-dollars (`cost_nanos as f64 * 1e-3`), the solvers' working
+/// unit, so both metrics have comparable scale.
 pub struct SoaView<'a, const COST_PRIMARY: bool> {
     soa: &'a SoaEdges,
 }
@@ -405,9 +438,7 @@ impl<const COST_PRIMARY: bool> EdgeExpand for SoaView<'_, COST_PRIMARY> {
     }
 
     fn for_each_out(&mut self, v: u32, mut f: impl FnMut(EdgeId, u32, f64, f64)) {
-        let lo = self.soa.offsets[v as usize] as usize;
-        let hi = self.soa.offsets[v as usize + 1] as usize;
-        for i in lo..hi {
+        for i in self.soa.slots(v) {
             let t = self.soa.times[i];
             let c = self.soa.costs[i] as f64 * 1e-3;
             let (w, r) = if COST_PRIMARY { (c, t) } else { (t, c) };
@@ -856,8 +887,8 @@ impl PlannerDag {
             assemble(space, col2, col3_flat)
         };
         if tel.enabled() {
-            tel.gauge("planner.dag.nodes", dag.graph().node_count() as f64);
-            tel.gauge("planner.dag.edges", dag.graph().edge_count() as f64);
+            tel.gauge("planner.dag.nodes", dag.nodes().len() as f64);
+            tel.gauge("planner.dag.edges", dag.soa().edges_stored() as f64);
             let stats = dag.prune_stats();
             tel.gauge("planner.dag.pruned_mapper_edges", stats.mapper_edges as f64);
             tel.gauge(
@@ -933,9 +964,9 @@ impl PlannerDag {
         assemble(space, col2, col3_flat)
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &DiGraph<Choice, EdgeMetrics> {
-        &self.graph
+    /// Node labels: node `v`'s choice is `nodes()[v]`.
+    pub fn nodes(&self) -> &[Choice] {
+        &self.nodes
     }
 
     /// Source node.
@@ -959,6 +990,28 @@ impl PlannerDag {
         &self.soa
     }
 
+    /// The store, for an in-place recost.
+    pub(crate) fn soa_mut(&mut self) -> &mut SoaEdges {
+        &mut self.soa
+    }
+
+    /// The store slots of a source-rooted path, found by walking it from
+    /// the source: each edge is looked up among its tail's out-slots.
+    ///
+    /// Panics if an edge does not leave the node the path has reached.
+    fn path_slots<'a>(&'a self, edges: &'a [EdgeId]) -> impl Iterator<Item = usize> + 'a {
+        let mut node = self.source.0;
+        edges.iter().map(move |&e| {
+            let slot = self
+                .soa
+                .slots(node)
+                .find(|&i| self.soa.edge_ids[i] == e.0)
+                .expect("path edge does not continue the path");
+            node = self.soa.heads[slot];
+            slot
+        })
+    }
+
     /// Recover the configuration a source→sink path encodes.
     ///
     /// Panics if the path does not visit one node of every column (which
@@ -969,9 +1022,8 @@ impl PlannerDag {
         let mut reducer_mem = None;
         let mut k_m = None;
         let mut k_r = None;
-        for &e in edges {
-            let (_, to) = self.graph.endpoints(e);
-            match *self.graph.node(to) {
+        for slot in self.path_slots(edges) {
+            match self.nodes[self.soa.heads[slot] as usize] {
                 Choice::MapperMem(m) => mapper_mem = Some(m),
                 Choice::ObjectsPerMapper(k) => k_m = Some(k),
                 Choice::ObjectsPerReducer { k_r: k, .. } => k_r = Some(k),
@@ -989,33 +1041,14 @@ impl PlannerDag {
         }
     }
 
-    /// Total time metric along a path.
+    /// Total time metric along a source-rooted path.
     pub fn path_time_s(&self, edges: &[EdgeId]) -> f64 {
-        edges.iter().map(|&e| self.graph.edge(e).time_s).sum()
+        self.path_slots(edges).map(|i| self.soa.times[i]).sum()
     }
 
-    /// Total cost metric along a path.
+    /// Total cost metric along a source-rooted path.
     pub fn path_cost(&self, edges: &[EdgeId]) -> Money {
-        Money::from_nanos(
-            edges
-                .iter()
-                .map(|&e| self.graph.edge(e).cost_nanos as i128)
-                .sum(),
-        )
-    }
-
-    /// Overwrite one edge's metrics in the graph arena (the SoA mirror
-    /// is refreshed separately via [`PlannerDag::refresh_soa_metrics_on`]).
-    pub(crate) fn set_edge(&mut self, eid: EdgeId, m: EdgeMetrics) {
-        *self.graph.edge_mut(eid) = m;
-    }
-
-    /// Re-copy the SoA mirror's times/costs for the out-edges of the
-    /// marked tail nodes only (`tails[u]` ⇒ node `u`'s out-edges may
-    /// have been rewritten by [`PlannerDag::set_edge`]).
-    pub(crate) fn refresh_soa_metrics_on(&mut self, tails: &[bool]) {
-        let PlannerDag { graph, soa, .. } = self;
-        soa.refresh_metrics_on(graph, tails);
+        Money::from_nanos(self.path_slots(edges).map(|i| self.soa.costs[i] as i128).sum())
     }
 }
 
@@ -1029,7 +1062,7 @@ fn coord_compute_per_tier(job: &JobSpec, platform: &Platform, space: &ConfigSpac
         .collect()
 }
 
-/// Assemble the graph from collected recipes. This is the single
+/// Assemble the DAG from collected recipes. This is the single
 /// authority on node/edge order: columns 1 and 5 in tier order, column 2
 /// in `k_m_values` order (mapper edges grouped per `k_M`, in tier
 /// order), then per `(k_M, k_R)` in candidate order the column-3 node,
@@ -1058,13 +1091,16 @@ fn assemble(
             edges += 1 + coord.final_edges.len();
         }
     }
-    let mut g: DiGraph<Choice, EdgeMetrics> = DiGraph::with_capacity(nodes, edges);
+    let mut g = EdgeList {
+        nodes: Vec::with_capacity(nodes),
+        edges: Vec::with_capacity(edges),
+    };
     let source = g.add_node(Choice::Source);
     let sink = g.add_node(Choice::Sink);
 
     // Column 1 (mapper memory) and column 5 (reducer memory) are shared
     // across all partitioning choices.
-    let col1: Vec<NodeId> = tiers
+    let col1: Vec<u32> = tiers
         .iter()
         .map(|&m| {
             let id = g.add_node(Choice::MapperMem(m));
@@ -1072,7 +1108,7 @@ fn assemble(
             id
         })
         .collect();
-    let col5: Vec<NodeId> = tiers
+    let col5: Vec<u32> = tiers
         .iter()
         .map(|&m| {
             let id = g.add_node(Choice::ReducerMem(m));
@@ -1082,7 +1118,7 @@ fn assemble(
         .collect();
 
     let mut prune_stats = PruneStats::default();
-    let col2_nodes: Vec<NodeId> = col2
+    let col2_nodes: Vec<u32> = col2
         .iter()
         .map(|r| {
             prune_stats.mapper_edges += r.pruned_edges;
@@ -1120,20 +1156,38 @@ fn assemble(
         }
     }
 
-    let soa = SoaEdges::build(&g, space, &j_of_k_m);
+    let soa = SoaEdges::build(&g.nodes, &g.edges, space, &j_of_k_m);
     PlannerDag {
-        graph: g,
-        source,
-        sink,
+        nodes: g.nodes,
+        source: NodeId(source),
+        sink: NodeId(sink),
         prune_stats,
         soa,
+    }
+}
+
+/// The DAG as assembly appends it: node labels, and every edge as
+/// `(tail, head, metrics)` with its id as its index.
+struct EdgeList {
+    nodes: Vec<Choice>,
+    edges: Vec<(u32, u32, EdgeMetrics)>,
+}
+
+impl EdgeList {
+    fn add_node(&mut self, c: Choice) -> u32 {
+        self.nodes.push(c);
+        (self.nodes.len() - 1) as u32
+    }
+
+    fn add_edge(&mut self, tail: u32, head: u32, m: EdgeMetrics) {
+        self.edges.push((tail, head, m));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astra_graph::dijkstra::shortest_path_all;
+    use astra_graph::constrained_shortest_path;
     use astra_model::{evaluate, WorkloadProfile};
 
     fn job(n: usize) -> JobSpec {
@@ -1149,12 +1203,24 @@ mod tests {
         (j, platform, catalog, dag)
     }
 
+    /// The exact CSP's path: fastest under a cost `bound` (µ$), or with
+    /// `cost_primary` cheapest under a time `bound` (s).
+    fn csp_path(dag: &PlannerDag, cost_primary: bool, bound: f64) -> Option<Vec<EdgeId>> {
+        let (s, t) = (dag.source().0, dag.sink().0);
+        let soa = dag.soa();
+        let sol = if cost_primary {
+            constrained_shortest_path(&mut soa.cost_view(), s, t, bound)
+        } else {
+            constrained_shortest_path(&mut soa.time_view(), s, t, bound)
+        };
+        sol.map(|p| p.edges)
+    }
+
     #[test]
     fn dag_is_acyclic_and_connected() {
         let (_, _, _, dag) = build(6, &[128, 1024]);
-        assert!(dag.graph().is_dag());
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s);
-        assert!(p.is_some());
+        assert_eq!(dag.soa().topo().len(), dag.nodes().len());
+        assert!(csp_path(&dag, false, f64::INFINITY).is_some());
     }
 
     #[test]
@@ -1172,18 +1238,23 @@ mod tests {
             let catalog = PriceCatalog::aws_2020();
             let space = ConfigSpace::with_tiers(&j, &platform, &[128, 512, 3008]);
             let dag = PlannerDag::build(&j, &platform, &catalog, &space);
-            // Probe several paths by minimizing different mixes.
-            for lambda in [0.0, 0.3, 0.7, 1.0] {
-                let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| {
-                    lambda * m.time_s + (1.0 - lambda) * (m.cost_nanos as f64) * 1e-6
-                })
-                .unwrap();
-                let config = dag.config_for_path(&p.edges);
+            // Probe several paths: the fastest, the cheapest, and the
+            // optima under a mid-band budget and a mid-band deadline.
+            let fastest = csp_path(&dag, false, f64::INFINITY).unwrap();
+            let cheapest = csp_path(&dag, true, f64::INFINITY).unwrap();
+            let mid_cost_us = (dag.path_cost(&fastest).nanos() + dag.path_cost(&cheapest).nanos())
+                as f64
+                * 0.5e-3;
+            let mid_time_s = 0.5 * (dag.path_time_s(&fastest) + dag.path_time_s(&cheapest));
+            let budgeted = csp_path(&dag, false, mid_cost_us).unwrap();
+            let deadlined = csp_path(&dag, true, mid_time_s).unwrap();
+            for edges in [fastest, cheapest, budgeted, deadlined] {
+                let config = dag.config_for_path(&edges);
                 let ev = evaluate(&j, &platform, &config, &catalog).unwrap();
-                let dt = (dag.path_time_s(&p.edges) - ev.jct_s()).abs();
+                let dt = (dag.path_time_s(&edges) - ev.jct_s()).abs();
                 assert!(dt < 1e-9, "time mismatch {dt} for {config:?}");
                 assert_eq!(
-                    dag.path_cost(&p.edges),
+                    dag.path_cost(&edges),
                     ev.total_cost(),
                     "cost mismatch for {config:?}"
                 );
@@ -1194,8 +1265,7 @@ mod tests {
     #[test]
     fn unconstrained_shortest_time_path_beats_every_config() {
         let (j, platform, catalog, dag) = build(5, &[128, 1024]);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s).unwrap();
-        let best_time = dag.path_time_s(&p.edges);
+        let best_time = dag.path_time_s(&csp_path(&dag, false, f64::INFINITY).unwrap());
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
         for config in space.iter_configs(&j) {
             if let Ok(ev) = evaluate(&j, &platform, &config, &catalog) {
@@ -1211,11 +1281,7 @@ mod tests {
     #[test]
     fn unconstrained_cheapest_path_beats_every_config() {
         let (j, platform, catalog, dag) = build(5, &[128, 1024]);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| {
-            m.cost_nanos as f64
-        })
-        .unwrap();
-        let best = dag.path_cost(&p.edges);
+        let best = dag.path_cost(&csp_path(&dag, true, f64::INFINITY).unwrap());
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
         for config in space.iter_configs(&j) {
             if let Ok(ev) = evaluate(&j, &platform, &config, &catalog) {
@@ -1234,8 +1300,7 @@ mod tests {
         let catalog = PriceCatalog::aws_2020();
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
         let dag = PlannerDag::build(&j, &platform, &catalog, &space);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s).unwrap();
-        let config = dag.config_for_path(&p.edges);
+        let config = dag.config_for_path(&csp_path(&dag, false, f64::INFINITY).unwrap());
         assert_eq!(config.mapper_mem_mb, 1024);
     }
 
@@ -1253,8 +1318,8 @@ mod tests {
         };
         let dag = PlannerDag::build(&j, &platform, &catalog, &space);
         // k_M = 1 and 2 (j = 10, 5) must be absent.
-        for id in dag.graph().node_ids() {
-            if let Choice::ObjectsPerMapper(k_m) = dag.graph().node(id) {
+        for choice in dag.nodes() {
+            if let Choice::ObjectsPerMapper(k_m) = choice {
                 assert!(*k_m >= 3, "k_M={k_m} should have been pruned");
             }
         }
@@ -1273,22 +1338,14 @@ mod tests {
             pruned.prune_stats().total() > 0,
             "expected dominated tiers across a 6-tier space"
         );
-        assert!(pruned.graph().edge_count() < full.graph().edge_count());
-        assert!(pruned.graph().node_count() <= full.graph().node_count());
+        assert!(pruned.soa().edges_stored() < full.soa().edges_stored());
+        assert!(pruned.nodes().len() <= full.nodes().len());
         // Both orientations still find their unconstrained optimum, and it
         // matches the full DAG's bit for bit.
-        for metric in [
-            (|m: &EdgeMetrics| m.time_s) as fn(&EdgeMetrics) -> f64,
-            (|m: &EdgeMetrics| m.cost_nanos as f64) as fn(&EdgeMetrics) -> f64,
-        ] {
-            let p = shortest_path_all(pruned.graph(), pruned.source(), pruned.sink(), |_, m| {
-                metric(m)
-            })
-            .unwrap();
-            let q =
-                shortest_path_all(full.graph(), full.source(), full.sink(), |_, m| metric(m))
-                    .unwrap();
-            assert_eq!(pruned.config_for_path(&p.edges), full.config_for_path(&q.edges));
+        for cost_primary in [false, true] {
+            let p = csp_path(&pruned, cost_primary, f64::INFINITY).unwrap();
+            let q = csp_path(&full, cost_primary, f64::INFINITY).unwrap();
+            assert_eq!(pruned.config_for_path(&p), full.config_for_path(&q));
         }
     }
 
@@ -1303,25 +1360,23 @@ mod tests {
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
         let a = PlannerDag::build_with(&j, &platform, &catalog, &space, PruneConfig::off());
         let b = PlannerDag::build_serial_with(&j, &platform, &catalog, &space, PruneConfig::off());
-        assert_eq!(a.graph().node_count(), b.graph().node_count());
-        assert_eq!(a.graph().edge_count(), b.graph().edge_count());
+        assert_eq!(a.nodes().len(), b.nodes().len());
+        assert_eq!(a.soa().edges_stored(), b.soa().edges_stored());
     }
 
     #[test]
-    fn soa_store_mirrors_the_graph_exactly() {
+    fn bundles_collapsed_counts_the_single_step_clamp() {
         let (_, _, _, dag) = build(8, &[128, 512, 3008]);
-        let g = dag.graph();
         let soa = dag.soa();
-        assert_eq!(soa.edges_stored(), g.edge_count());
         // Even the raw space folds every k_R >= j onto the single-step
         // candidate (the k_r_candidates clamp), so the collapse counter
         // is non-zero here too. Derive the expected total independently:
         // an edge into the single-step node `k_R = max(j, 2)` stands for
         // the n - max(j, 2) + 1 raw values of 2..=n at or above it.
-        let expected: u64 = g
-            .node_ids()
-            .flat_map(|u| g.out_edges(u).map(|(eid, _)| g.endpoints(eid).1))
-            .map(|head| match *g.node(head) {
+        let expected: u64 = soa
+            .heads()
+            .iter()
+            .map(|&head| match dag.nodes()[head as usize] {
                 Choice::ObjectsPerReducer { k_m, k_r } => {
                     let cap = 8usize.div_ceil(k_m).max(2);
                     if k_r == cap {
@@ -1333,36 +1388,8 @@ mod tests {
                 _ => 0,
             })
             .sum();
+        assert!(expected > 0);
         assert_eq!(soa.bundles_collapsed(), expected);
-        // Slot order per node == out_edges order, payloads bit-identical.
-        let mut view = soa.time_view();
-        for u in g.node_ids() {
-            let arena: Vec<(EdgeId, u32, u64, i64)> = g
-                .out_edges(u)
-                .map(|(eid, m)| {
-                    (eid, g.endpoints(eid).1 .0, m.time_s.to_bits(), m.cost_nanos)
-                })
-                .collect();
-            let mut flat: Vec<(EdgeId, u32, u64, f64)> = Vec::new();
-            view.for_each_out(u.0, |eid, head, w, r| {
-                flat.push((eid, head, w.to_bits(), r));
-            });
-            assert_eq!(arena.len(), flat.len());
-            for (a, f) in arena.iter().zip(&flat) {
-                assert_eq!(a.0, f.0);
-                assert_eq!(a.1, f.1);
-                assert_eq!(a.2, f.2, "time bits differ on edge {:?}", a.0);
-                assert_eq!((a.3 as f64 * 1e-3).to_bits(), f.3.to_bits(), "cost µ$");
-            }
-        }
-        // Stored topo order is the graph's own.
-        let topo: Vec<u32> = g
-            .topological_order()
-            .unwrap()
-            .into_iter()
-            .map(|id| id.0)
-            .collect();
-        assert_eq!(view.topo_order().unwrap(), topo);
     }
 
     #[test]
@@ -1516,10 +1543,10 @@ mod tests {
     }
 
     /// Everything a build decides, hashed: node labels, every edge's
-    /// endpoints and metric bits, the prune tallies, every `SoaEdges`
-    /// array (the topological order included), and the (cost, JCT bits)
-    /// of the fastest, cheapest, a mid-band budget and a mid-band
-    /// deadline plan.
+    /// endpoints and metric bits in assembly (edge id) order, the prune
+    /// tallies, every `SoaEdges` array (the topological order included),
+    /// and the (cost, JCT bits) of the fastest, cheapest, a mid-band
+    /// budget and a mid-band deadline plan.
     fn dag_digest(
         h: &mut Fnv,
         dag: &PlannerDag,
@@ -1527,10 +1554,10 @@ mod tests {
         platform: &Platform,
         catalog: &PriceCatalog,
     ) {
-        let g = dag.graph();
-        h.u64(g.node_count() as u64);
-        for u in g.node_ids() {
-            let words: [u64; 4] = match *g.node(u) {
+        let soa = dag.soa();
+        h.u64(dag.nodes().len() as u64);
+        for &choice in dag.nodes() {
+            let words: [u64; 4] = match choice {
                 Choice::Source => [0, 0, 0, 0],
                 Choice::MapperMem(m) => [1, m as u64, 0, 0],
                 Choice::ObjectsPerMapper(k) => [2, k as u64, 0, 0],
@@ -1541,15 +1568,20 @@ mod tests {
             };
             words.iter().for_each(|&w| h.u64(w));
         }
-        h.u64(g.edge_count() as u64);
-        for e in g.edge_ids() {
-            let (from, to) = g.endpoints(e);
-            let m = g.edge(e);
+        // Every edge's (tail, slot), indexed by edge id.
+        let mut by_id = vec![(0u32, 0usize); soa.edges_stored()];
+        for u in 0..dag.nodes().len() as u32 {
+            for i in soa.slots(u) {
+                by_id[soa.edge_ids[i] as usize] = (u, i);
+            }
+        }
+        h.u64(by_id.len() as u64);
+        for (tail, i) in by_id {
             for w in [
-                from.0 as u64,
-                to.0 as u64,
-                m.time_s.to_bits(),
-                m.cost_nanos as u64,
+                tail as u64,
+                soa.heads[i] as u64,
+                soa.times[i].to_bits(),
+                soa.costs[i] as u64,
             ] {
                 h.u64(w);
             }
@@ -1558,7 +1590,6 @@ mod tests {
         for w in [s.mapper_edges, s.coordinator_nodes, s.reducer_edges] {
             h.u64(w as u64);
         }
-        let soa = dag.soa();
         h.u32s(&soa.offsets);
         h.u32s(&soa.heads);
         h.u32s(&soa.edge_ids);
@@ -1606,9 +1637,10 @@ mod tests {
     /// FNV-1a digests of [`dag_digest`] per (platform pair, N), folded
     /// over 3 profiles × uniform/jittered sizes × full/bundled space ×
     /// prune on/off, recorded from the two-pass reference construction
-    /// (per-coordinator edge vectors, memoized tier times, SoA copied
-    /// from the `DiGraph` lists). Any change to a node, edge, metric
-    /// bit, prune tally, SoA slot or answer changes a digest.
+    /// (per-coordinator edge vectors, memoized tier times, an arena graph
+    /// with the CSR store copied from its lists). Any change to a node,
+    /// edge, metric bit, prune tally, store slot or answer changes a
+    /// digest.
     const GOLDEN_DIGESTS: [[u64; 7]; 3] = [
         [
             0x5368_1968_85b6_ad3d,
@@ -1690,58 +1722,110 @@ mod tests {
         check_golden_row(2);
     }
 
-    /// Re-derive every `SoaEdges` array from the `DiGraph` alone —
-    /// slots per node in `out_edges` order, multiplicities from the
-    /// head's label, `topo` = `graph.topological_order()` — and compare.
-    #[test]
-    fn soa_arrays_rederive_from_the_graph() {
-        let (platform, catalog) = &golden_platforms()[1];
-        for profile in &golden_profiles() {
-            for n in [3, 10, 37] {
-                let job = golden_job(n, profile, true);
-                for space in [
-                    ConfigSpace::full(&job, platform),
-                    ConfigSpace::bundled(&job, platform),
+    /// The Algorithm 1 answers (plain and potential-guided) for the
+    /// fastest, cheapest, a mid-band budget and a mid-band deadline plan:
+    /// each hashed as its configuration, cost nanos and JCT bits. Edge
+    /// ids are left out, so renumbering path edges moves no digest.
+    fn alg1_digest(
+        h: &mut Fnv,
+        dag: &PlannerDag,
+        job: &JobSpec,
+        platform: &Platform,
+        catalog: &PriceCatalog,
+    ) {
+        use crate::solver::{solve_on_dag, solve_on_dag_with_potentials, Strategy};
+        let potentials = crate::solver::PlannerPotentials::compute(dag);
+        let telemetry = astra_telemetry::Telemetry::disabled();
+        let priced = |config: Option<JobConfig>| {
+            config.map(|c| {
+                let ev = evaluate(job, platform, &c, catalog).expect("planned config");
+                (c, ev.total_cost().nanos(), ev.jct_s())
+            })
+        };
+        let mut hash = |a: &Option<(JobConfig, i128, f64)>| match a {
+            None => h.u64(u64::MAX),
+            Some((c, cost, jct)) => {
+                for w in [
+                    c.mapper_mem_mb as u64,
+                    c.coordinator_mem_mb as u64,
+                    c.reducer_mem_mb as u64,
+                    c.objects_per_mapper as u64,
+                    c.objects_per_reducer as u64,
+                    *cost as u64,
+                    jct.to_bits(),
                 ] {
-                    for prune in [PruneConfig::on(), PruneConfig::off()] {
-                        let dag = PlannerDag::build_with(&job, platform, catalog, &space, prune);
-                        let (g, soa) = (dag.graph(), dag.soa());
-                        let j_of = |k_m: usize| job.num_objects().div_ceil(k_m);
-                        let mut offsets = vec![0u32];
-                        let (mut heads, mut ids, mut times, mut costs, mut mult) =
-                            (vec![], vec![], vec![], vec![], vec![]);
-                        for u in g.node_ids() {
-                            for (eid, m) in g.out_edges(u) {
-                                let head = g.endpoints(eid).1;
-                                heads.push(head.0);
-                                ids.push(eid.0);
-                                times.push(m.time_s.to_bits());
-                                costs.push(m.cost_nanos);
-                                mult.push(match *g.node(head) {
-                                    Choice::ObjectsPerMapper(k_m) => space.k_m_weight(k_m) as u32,
-                                    Choice::ObjectsPerReducer { k_m, k_r } => {
-                                        space.k_r_weight(j_of(k_m), k_r) as u32
-                                    }
-                                    _ => 1,
-                                });
-                            }
-                            offsets.push(heads.len() as u32);
-                        }
-                        let topo: Vec<u32> =
-                            g.topological_order().unwrap().iter().map(|v| v.0).collect();
-                        let soa_times: Vec<u64> = soa.times.iter().map(|t| t.to_bits()).collect();
-                        let ctx = format!("{} n={n} {prune:?}", profile.name);
-                        assert_eq!(soa.offsets, offsets, "offsets {ctx}");
-                        assert_eq!(soa.heads, heads, "heads {ctx}");
-                        assert_eq!(soa.edge_ids, ids, "edge ids {ctx}");
-                        assert_eq!(soa_times, times, "times {ctx}");
-                        assert_eq!(soa.costs, costs, "costs {ctx}");
-                        assert_eq!(soa.multiplicity, mult, "multiplicity {ctx}");
-                        assert_eq!(soa.topo, topo, "topo {ctx}");
-                    }
+                    h.u64(w);
                 }
             }
+        };
+        let mut answer = |objective| {
+            let plain = priced(solve_on_dag(dag, objective, Strategy::Algorithm1));
+            let guided = priced(solve_on_dag_with_potentials(
+                dag,
+                &potentials,
+                objective,
+                Strategy::Algorithm1,
+                &telemetry,
+            ));
+            hash(&plain);
+            hash(&guided);
+            plain
+        };
+        let fastest = answer(crate::Objective::fastest());
+        let cheapest = answer(crate::Objective::cheapest());
+        if let (Some(f), Some(c)) = (fastest, cheapest) {
+            let budget = Money::from_nanos((f.1 + c.1) / 2);
+            answer(crate::Objective::MinimizeTime { budget });
+            let deadline_s = 0.5 * (f.2 + c.2);
+            answer(crate::Objective::MinimizeCost { deadline_s });
         }
+    }
+
+    const GOLDEN_ALG1_NS: [usize; 2] = [1, 2];
+
+    /// FNV-1a digests of [`alg1_digest`] per (platform pair, N), folded
+    /// over 3 profiles × uniform/jittered sizes × full/bundled space on
+    /// unpruned DAGs (Algorithm 1 sessions always run unpruned), recorded
+    /// from the arena-graph Dijkstra with hashed removal sets. N stays
+    /// small because capped Algorithm 1 runs up to 500 Dijkstra rounds
+    /// per query, which a debug build pays in full.
+    const GOLDEN_ALG1_DIGESTS: [[u64; 2]; 3] = [
+        [0x8e81_3f84_23d0_df5d, 0x8546_7381_db3a_cde5],
+        [0xf17c_966d_6693_7e0d, 0xfe39_909f_7e55_8df5],
+        [0x06fd_d817_28e5_6355, 0x9f7b_b633_c156_cfa5],
+    ];
+
+    #[test]
+    fn golden_alg1_digests() {
+        let mut got = [[0u64; 2]; 3];
+        for (pi, (platform, catalog)) in golden_platforms().iter().enumerate() {
+            for (ni, &n) in GOLDEN_ALG1_NS.iter().enumerate() {
+                let mut h = Fnv::new();
+                for profile in &golden_profiles() {
+                    for jitter in [false, true] {
+                        let job = golden_job(n, profile, jitter);
+                        for space in [
+                            ConfigSpace::full(&job, platform),
+                            ConfigSpace::bundled(&job, platform),
+                        ] {
+                            let dag = PlannerDag::build_with(
+                                &job,
+                                platform,
+                                catalog,
+                                &space,
+                                PruneConfig::off(),
+                            );
+                            alg1_digest(&mut h, &dag, &job, platform, catalog);
+                        }
+                    }
+                }
+                got[pi][ni] = h.0;
+            }
+        }
+        assert_eq!(
+            got, GOLDEN_ALG1_DIGESTS,
+            "Algorithm 1 digests moved; recomputed table: {got:#018x?}"
+        );
     }
 
     #[test]
@@ -1752,7 +1836,6 @@ mod tests {
         let catalog = PriceCatalog::aws_2020();
         let space = ConfigSpace::with_tiers(&j, &platform, &[128]);
         let dag = PlannerDag::build(&j, &platform, &catalog, &space);
-        let p = shortest_path_all(dag.graph(), dag.source(), dag.sink(), |_, m| m.time_s);
-        assert!(p.is_none());
+        assert!(csp_path(&dag, false, f64::INFINITY).is_none());
     }
 }

@@ -21,10 +21,11 @@
 //!   retry. A heuristic.
 //! * [`solver::Strategy::ExactCsp`] — exact Pareto-label constrained
 //!   shortest path (the default; optimal for the model).
-//! * [`solver::Strategy::PathEnumeration`] — Yen's k-shortest paths until
-//!   the first feasible one (also exact; slower).
 //! * [`solver::Strategy::Exhaustive`] — brute force over the space, used
-//!   to validate all of the above on small instances.
+//!   to validate both of the above on small instances.
+//!
+//! Both DAG strategies run on the DAG's one edge store
+//! ([`dag::SoaEdges`]), plain or guided by backward potentials.
 //!
 //! Entry point: [`Astra::plan`].
 

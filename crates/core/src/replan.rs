@@ -11,8 +11,8 @@
 //! * **unchanged** — cosmetic deltas (renames) keep the DAG, the
 //!   potentials and the answer memo.
 //! * **fast recost** (`RecostPlan`) — only the touched edge families
-//!   are re-evaluated through the O(1) cost kernels and written back
-//!   into the existing arena + SoA mirror. Sound only when no
+//!   are re-evaluated through the O(1) cost kernels and written straight
+//!   into the DAG's edge store. Sound only when no
 //!   feasibility gate or pruning verdict can flip: unpruned DAGs and
 //!   deltas limited to `{name, mapper_coeff, prices}` (a mapper-
 //!   coefficient change can flip the mapper timeout gate, so the new
@@ -29,7 +29,6 @@
 
 use std::collections::HashMap;
 
-use astra_graph::EdgeId;
 use astra_model::cost::{
     coordinator_storage_cost, mapper_edge_cost, orchestration_requests_cost, reduce_edge_cost,
     runtime_cost,
@@ -195,22 +194,22 @@ impl JobDelta {
 }
 
 /// One column-2 node's mapper fan-in: its `k_M` and the `(tier index,
-/// edge id)` pairs of the surviving `x_i -> k_M` edges.
+/// store slot)` pairs of the surviving `x_i -> k_M` edges.
 #[derive(Debug, Clone)]
 struct MapperCtx {
     k_m: usize,
     node: u32,
-    edges: Vec<(usize, EdgeId)>,
+    edges: Vec<(usize, usize)>,
 }
 
-/// One column-4 node inside a pair: its tier, `e3` edge and final
-/// edges as `(reducer tier index, edge id)`.
+/// One column-4 node inside a pair: its tier, `e3` edge slot and final
+/// edges as `(reducer tier index, store slot)`.
 #[derive(Debug, Clone)]
 struct CoordCtx {
     node: u32,
     a_mem: u32,
-    e3: EdgeId,
-    finals: Vec<(usize, EdgeId)>,
+    e3: usize,
+    finals: Vec<(usize, usize)>,
 }
 
 /// One `(k_M, k_R)` column-3 node and everything hanging off it.
@@ -219,12 +218,12 @@ struct PairCtx {
     k_m: usize,
     k_r: usize,
     node: u32,
-    e2: EdgeId,
+    e2: usize,
     coords: Vec<CoordCtx>,
 }
 
-/// Topology index for the fast recost tier: where each recostable edge
-/// family lives in the arena, keyed by the configuration choices its
+/// Topology index for the fast recost tier: the edge-store slots of
+/// each recostable edge family, keyed by the configuration choices its
 /// cost kernels need. Captured lazily from a built DAG (one O(V+E)
 /// walk) and reused across deltas until a rebuild invalidates it.
 #[derive(Debug, Clone)]
@@ -238,11 +237,11 @@ pub(crate) struct RecostPlan {
 }
 
 impl RecostPlan {
-    /// Index `dag`'s topology. Returns `None` if the graph does not
-    /// have the canonical assembled shape (defensive; cannot happen for
-    /// DAGs built by this crate).
+    /// Index `dag`'s topology. Returns `None` if the DAG does not have
+    /// the canonical assembled shape (defensive; cannot happen for DAGs
+    /// built by this crate).
     pub(crate) fn capture(dag: &PlannerDag, space: &ConfigSpace) -> Option<RecostPlan> {
-        let g = dag.graph();
+        let (labels, soa) = (dag.nodes(), dag.soa());
         let tiers = &space.memory_tiers_mb;
         let t = tiers.len();
         let tier_index: HashMap<u32, usize> =
@@ -251,7 +250,7 @@ impl RecostPlan {
         let mut col1 = Vec::with_capacity(t);
         for (i, &m) in tiers.iter().enumerate() {
             let id = 2 + i as u32;
-            if *g.node(astra_graph::NodeId(id)) != Choice::MapperMem(m) {
+            if labels[id as usize] != Choice::MapperMem(m) {
                 return None;
             }
             col1.push(id);
@@ -259,7 +258,7 @@ impl RecostPlan {
         let col5_base = 2 + t as u32;
         for (i, &m) in tiers.iter().enumerate() {
             let id = col5_base + i as u32;
-            if *g.node(astra_graph::NodeId(id)) != Choice::ReducerMem(m) {
+            if labels[id as usize] != Choice::ReducerMem(m) {
                 return None;
             }
         }
@@ -269,23 +268,23 @@ impl RecostPlan {
         let mut mapper_idx: HashMap<u32, usize> = HashMap::new();
         let mut pair_idx: HashMap<u32, usize> = HashMap::new();
         let mut coord_idx: HashMap<u32, (usize, usize)> = HashMap::new();
-        for u in g.node_ids() {
-            match *g.node(u) {
+        for (u, &label) in (0u32..).zip(labels) {
+            match label {
                 Choice::ObjectsPerMapper(k_m) => {
-                    mapper_idx.insert(u.0, mappers.len());
+                    mapper_idx.insert(u, mappers.len());
                     mappers.push(MapperCtx {
                         k_m,
-                        node: u.0,
+                        node: u,
                         edges: Vec::new(),
                     });
                 }
                 Choice::ObjectsPerReducer { k_m, k_r } => {
-                    pair_idx.insert(u.0, pairs.len());
+                    pair_idx.insert(u, pairs.len());
                     pairs.push(PairCtx {
                         k_m,
                         k_r,
-                        node: u.0,
-                        e2: EdgeId(0),
+                        node: u,
+                        e2: 0,
                         coords: Vec::new(),
                     });
                 }
@@ -298,11 +297,11 @@ impl RecostPlan {
                     if pair.k_m != k_m || pair.k_r != k_r {
                         return None;
                     }
-                    coord_idx.insert(u.0, (pi, pair.coords.len()));
+                    coord_idx.insert(u, (pi, pair.coords.len()));
                     pair.coords.push(CoordCtx {
-                        node: u.0,
+                        node: u,
                         a_mem: mem,
-                        e3: EdgeId(0),
+                        e3: 0,
                         finals: Vec::new(),
                     });
                 }
@@ -310,34 +309,37 @@ impl RecostPlan {
             }
         }
 
-        // One edge walk wires every family to its context. Edge ids are
-        // walked in id order, which is assembly order, so `edges` /
-        // `finals` lists come out deterministic.
-        for eid in g.edge_ids() {
-            let (from, to) = g.endpoints(eid);
-            match (*g.node(from), *g.node(to)) {
-                (Choice::MapperMem(m), Choice::ObjectsPerMapper(_)) => {
-                    let ti = *tier_index.get(&m)?;
-                    let mi = *mapper_idx.get(&to.0)?;
-                    mappers[mi].edges.push((ti, eid));
-                }
-                (Choice::ObjectsPerMapper(_), Choice::ObjectsPerReducer { .. }) => {
-                    let pi = *pair_idx.get(&to.0)?;
-                    pairs[pi].e2 = eid;
-                }
-                (Choice::ObjectsPerReducer { .. }, Choice::CoordinatorMem { .. }) => {
-                    let &(pi, ci) = coord_idx.get(&to.0)?;
-                    pairs[pi].coords[ci].e3 = eid;
-                }
-                (Choice::CoordinatorMem { .. }, Choice::ReducerMem(_)) => {
-                    let &(pi, ci) = coord_idx.get(&from.0)?;
-                    let si = (to.0 - col5_base) as usize;
-                    if si >= t {
-                        return None;
+        // One walk over every tail's slots wires each family to its
+        // context. Tails go in id order and a tail's slots oldest first,
+        // so the mapper (column-1 tails in tier order) and final-edge
+        // lists come out in tier order.
+        for (from, &tail) in (0u32..).zip(labels) {
+            for slot in soa.slots(from).rev() {
+                let to = soa.heads()[slot];
+                match (tail, labels[to as usize]) {
+                    (Choice::MapperMem(m), Choice::ObjectsPerMapper(_)) => {
+                        let ti = *tier_index.get(&m)?;
+                        let mi = *mapper_idx.get(&to)?;
+                        mappers[mi].edges.push((ti, slot));
                     }
-                    pairs[pi].coords[ci].finals.push((si, eid));
+                    (Choice::ObjectsPerMapper(_), Choice::ObjectsPerReducer { .. }) => {
+                        let pi = *pair_idx.get(&to)?;
+                        pairs[pi].e2 = slot;
+                    }
+                    (Choice::ObjectsPerReducer { .. }, Choice::CoordinatorMem { .. }) => {
+                        let &(pi, ci) = coord_idx.get(&to)?;
+                        pairs[pi].coords[ci].e3 = slot;
+                    }
+                    (Choice::CoordinatorMem { .. }, Choice::ReducerMem(_)) => {
+                        let &(pi, ci) = coord_idx.get(&from)?;
+                        let si = (to - col5_base) as usize;
+                        if si >= t {
+                            return None;
+                        }
+                        pairs[pi].coords[ci].finals.push((si, slot));
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
 
@@ -351,8 +353,9 @@ impl RecostPlan {
     }
 
     /// Fast in-place recost for a [`JobDelta::fast_patchable`] delta on
-    /// an **unpruned** DAG. On success, returns the dirty-tail mask for
-    /// the potentials resume; `None` means a feasibility gate flipped
+    /// an **unpruned** DAG, written straight into the edge store. On
+    /// success, returns the dirty-tail mask (nodes whose out-edges were
+    /// rewritten) for the potentials resume; `None` means a feasibility gate flipped
     /// (the new shape differs) and the caller must rebuild. The DAG is
     /// only written once all gates are verified, so a `None` return
     /// leaves it untouched.
@@ -368,13 +371,14 @@ impl RecostPlan {
         debug_assert!(delta.fast_patchable());
         let cache = ModelCache::new(job, platform);
         let tiers = &space.memory_tiers_mb;
-        let mut dirty = vec![false; dag.graph().node_count()];
+        let mut dirty = vec![false; dag.nodes().len()];
+        let soa = dag.soa_mut();
 
         if delta.mapper_coeff {
             // Recompute every mapper phase and verify the feasible set
             // still matches the captured topology (survivors == the
             // feasible set on an unpruned DAG) before writing anything.
-            let mut writes: Vec<(EdgeId, EdgeMetrics)> = Vec::new();
+            let mut writes: Vec<(usize, EdgeMetrics)> = Vec::new();
             for &k_m in &space.k_m_values {
                 let j = job.num_objects().div_ceil(k_m);
                 if j.max(2) > platform.max_concurrency as usize {
@@ -409,8 +413,8 @@ impl RecostPlan {
                         {
                             return None; // timeout gate flipped somewhere
                         }
-                        for (&(_, m), &(_, eid)) in feasible.iter().zip(&ctx.edges) {
-                            writes.push((eid, m));
+                        for (&(_, m), &(_, slot)) in feasible.iter().zip(&ctx.edges) {
+                            writes.push((slot, m));
                         }
                     }
                     // No node: the old build had no feasible tier. The
@@ -422,8 +426,8 @@ impl RecostPlan {
                     }
                 }
             }
-            for (eid, m) in writes {
-                dag.set_edge(eid, m);
+            for (slot, m) in writes {
+                soa.set_metrics(slot, m);
             }
             for &u in &self.col1 {
                 dirty[u as usize] = true;
@@ -439,7 +443,7 @@ impl RecostPlan {
                 // unchanged (same job model), so phases re-derive
                 // bit-identically from the fresh cache.
                 for ctx in &self.mappers {
-                    for &(ti, eid) in &ctx.edges {
+                    for &(ti, slot) in &ctx.edges {
                         let i_mem = tiers[ti];
                         let phase = cache.mapper_phase(i_mem, ctx.k_m);
                         let cost = mapper_edge_cost(
@@ -450,7 +454,7 @@ impl RecostPlan {
                             catalog,
                             cache.job_total_mb(),
                         );
-                        dag.set_edge(eid, edge_metrics(phase.duration_s, cost));
+                        soa.set_metrics(slot, edge_metrics(phase.duration_s, cost));
                     }
                 }
                 for &u in &self.col1 {
@@ -464,9 +468,9 @@ impl RecostPlan {
                     .per_step_spawn_s
                     .last()
                     .expect("at least one step");
-                let e2_time = dag.graph().edge(pair.e2).time_s;
+                let e2_time = soa.times()[pair.e2];
                 let e2_cost = orchestration_requests_cost(&structure, platform, catalog);
-                dag.set_edge(pair.e2, edge_metrics(e2_time, e2_cost));
+                soa.set_metrics(pair.e2, edge_metrics(e2_time, e2_cost));
                 // The coordinator-independent slice of each final
                 // edge's cost depends only on the reducer tier, so it
                 // is computed once per tier and shared by every
@@ -478,7 +482,7 @@ impl RecostPlan {
                     // `t2_s` is the e3 edge's stored time; the model
                     // hasn't moved, so it equals what a cold build
                     // would recompute.
-                    let t2_s = dag.graph().edge(coord.e3).time_s;
+                    let t2_s = soa.times()[coord.e3];
                     let e3_cost = coordinator_storage_cost(
                         job,
                         &structure,
@@ -488,9 +492,9 @@ impl RecostPlan {
                         cache.job_total_mb(),
                         pending_input_mb,
                     );
-                    dag.set_edge(coord.e3, edge_metrics(t2_s, e3_cost));
+                    soa.set_metrics(coord.e3, edge_metrics(t2_s, e3_cost));
                     dirty[pair.node as usize] = true;
-                    for &(si, eid) in &coord.finals {
+                    for &(si, slot) in &coord.finals {
                         let (wait_before_last, cost_excl) = match excl_by_tier[si] {
                             Some(v) => v,
                             None => {
@@ -519,8 +523,8 @@ impl RecostPlan {
                         let coord_billed_s = t2_s + wait_before_last + last_spawn_s;
                         let coord_cost =
                             runtime_cost(coord_billed_s, coord.a_mem, &catalog.lambda);
-                        let time_s = dag.graph().edge(eid).time_s;
-                        dag.set_edge(eid, edge_metrics(time_s, cost_excl + coord_cost));
+                        let time_s = soa.times()[slot];
+                        soa.set_metrics(slot, edge_metrics(time_s, cost_excl + coord_cost));
                     }
                     dirty[coord.node as usize] = true;
                 }
@@ -533,7 +537,6 @@ impl RecostPlan {
             }
         }
 
-        dag.refresh_soa_metrics_on(&dirty);
         Some(dirty)
     }
 }

@@ -1,16 +1,20 @@
 //! Solver strategies over the planner DAG.
+//!
+//! Every DAG strategy runs on the DAG's edge store through its
+//! `time_view` (minimize time under a budget) or `cost_view` (minimize
+//! cost under a deadline), plain or guided by [`PlannerPotentials`].
 
-use astra_graph::csp::{
-    constrained_shortest_path, constrained_shortest_path_with_bounds_on, dag_potentials_on,
-    dag_potentials_resume_on, Potentials,
+use astra_graph::{
+    constrained_shortest_path, constrained_shortest_path_with_bounds, dag_potentials,
+    dag_potentials_resume, EdgeExpand, EdgeId, Potentials,
 };
-use astra_graph::yen::KShortestPaths;
 use astra_model::{evaluate, JobConfig, JobSpec, Platform};
 use astra_pricing::{Money, PriceCatalog};
+use astra_telemetry::Telemetry;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::alg1::{algorithm1_capped, algorithm1_guided_capped};
+use crate::alg1::algorithm1;
 use crate::cache::ModelCache;
 use crate::dag::PlannerDag;
 use crate::objective::Objective;
@@ -24,25 +28,15 @@ pub enum Strategy {
     /// Exact Pareto-label constrained shortest path (default).
     #[default]
     ExactCsp,
-    /// Yen's k-shortest paths in objective order until one is feasible
-    /// (exact; can enumerate many paths when the bound is tight).
-    PathEnumeration,
     /// Brute force over the whole configuration space through the
     /// analytical model. Exponentially large with full tier lists — meant
     /// for validation on reduced spaces.
     Exhaustive,
 }
 
-/// Cap on paths examined by [`Strategy::PathEnumeration`] before giving up
-/// (prevents pathological enumeration on infeasible-but-huge DAGs).
-pub const MAX_ENUMERATED_PATHS: usize = 100_000;
-
 /// Cap on Algorithm 1 edge removals (each removal costs one Dijkstra run;
-/// see `alg1::algorithm1_capped`).
+/// see `alg1::algorithm1`).
 pub const MAX_ALG1_REMOVALS: usize = 500;
-
-/// Extracts one metric from an edge (the objective or the constraint).
-type MetricFn = Box<dyn Fn(&crate::dag::EdgeMetrics) -> f64>;
 
 /// Tiny relative slack added to constraint bounds to make `<=`
 /// comparisons robust to the floating-point noise of summing edge metrics
@@ -50,69 +44,13 @@ type MetricFn = Box<dyn Fn(&crate::dag::EdgeMetrics) -> f64>;
 /// accepted path can overshoot a $1 budget by at most a few nano-dollars.
 const BOUND_EPS: f64 = 1e-9;
 
-/// Solve `objective` on a built DAG. Returns the chosen configuration, or
-/// `None` when no feasible configuration exists.
+/// Solve `objective` on a built DAG with the plain (unguided) searches:
+/// the lexicographic label search for [`Strategy::ExactCsp`] — the
+/// oracle the guided solver is checked against — and plain Dijkstra in
+/// every Algorithm 1 round. Returns the chosen configuration, or `None`
+/// when no feasible configuration exists.
 pub fn solve_on_dag(dag: &PlannerDag, objective: Objective, strategy: Strategy) -> Option<JobConfig> {
-    let g = dag.graph();
-    let (src, dst) = (dag.source(), dag.sink());
-    // Primary weight and constraint metric per objective. Costs are
-    // converted to micro-dollars so both metrics have comparable scale.
-    let time = |m: &crate::dag::EdgeMetrics| m.time_s;
-    let cost = |m: &crate::dag::EdgeMetrics| m.cost_nanos as f64 * 1e-3; // micro-dollars
-
-    let (bound, primary, secondary): (f64, MetricFn, MetricFn) = match objective {
-            Objective::MinimizeTime { budget } => (
-                budget.nanos() as f64 * 1e-3,
-                Box::new(time),
-                Box::new(cost),
-            ),
-            Objective::MinimizeCost { deadline_s } => {
-                (deadline_s, Box::new(cost), Box::new(time))
-            }
-        };
-
-    let edges = match strategy {
-        Strategy::Algorithm1 => algorithm1_capped(
-            g,
-            src,
-            dst,
-            bound * (1.0 + BOUND_EPS) + BOUND_EPS,
-            MAX_ALG1_REMOVALS,
-            |_, m| primary(m),
-            |_, m| secondary(m),
-        )
-        .map(|sol| sol.path.edges),
-        Strategy::ExactCsp => constrained_shortest_path(
-            g,
-            src,
-            dst,
-            bound * (1.0 + BOUND_EPS) + BOUND_EPS,
-            |_, m| primary(m),
-            |_, m| secondary(m),
-        )
-        .map(|sol| sol.edges),
-        Strategy::PathEnumeration => {
-            let mut ksp = KShortestPaths::new(g, src, dst, |_, m| primary(m));
-            let mut found = None;
-            for _ in 0..MAX_ENUMERATED_PATHS {
-                match ksp.next() {
-                    Some(path) => {
-                        let used: f64 = path.edges.iter().map(|&e| secondary(g.edge(e))).sum();
-                        if used <= bound * (1.0 + BOUND_EPS) + BOUND_EPS {
-                            found = Some(path.edges);
-                            break;
-                        }
-                    }
-                    None => break,
-                }
-            }
-            found
-        }
-        Strategy::Exhaustive => {
-            unreachable!("Exhaustive does not run on the DAG; use solve_exhaustive")
-        }
-    }?;
-    Some(dag.config_for_path(&edges))
+    solve(dag, None, objective, strategy, &Telemetry::disabled())
 }
 
 /// Backward lower-bound potentials over a built planner DAG: per node,
@@ -129,12 +67,10 @@ pub struct PlannerPotentials {
 
 impl PlannerPotentials {
     /// Compute both potentials in one reverse-topological sweep over the
-    /// DAG's flat SoA edge store (cost: one linear pass over the edge
-    /// arrays — same relaxation order, and therefore bit-identical
-    /// values, as the arena-walking closure path it replaced).
+    /// DAG's edge store (one linear pass over the edge arrays).
     pub fn compute(dag: &PlannerDag) -> PlannerPotentials {
-        let pots = dag_potentials_on(&mut dag.soa().time_view(), dag.sink().0)
-            .expect("planner graph is acyclic by construction");
+        let pots = dag_potentials(&mut dag.soa().time_view(), dag.sink().0)
+            .expect("planner DAG is acyclic by construction");
         PlannerPotentials {
             min_time_to: pots.min_weight_to,
             min_cost_to: pots.min_resource_to,
@@ -143,20 +79,16 @@ impl PlannerPotentials {
 
     /// Repair potentials after an in-place DAG recost, reusing this
     /// instance's values wherever `dirty_tails` proves they cannot have
-    /// moved (see `dag_potentials_resume_on` — the result is
-    /// bit-identical to a fresh [`PlannerPotentials::compute`]).
+    /// moved (see `dag_potentials_resume` — the result is bit-identical
+    /// to a fresh [`PlannerPotentials::compute`]).
     pub(crate) fn resume(&self, dag: &PlannerDag, dirty_tails: &[bool]) -> PlannerPotentials {
         let prev = Potentials {
             min_weight_to: self.min_time_to.clone(),
             min_resource_to: self.min_cost_to.clone(),
         };
-        let pots = dag_potentials_resume_on(
-            &mut dag.soa().time_view(),
-            dag.sink().0,
-            &prev,
-            dirty_tails,
-        )
-        .expect("planner graph is acyclic by construction");
+        let pots =
+            dag_potentials_resume(&mut dag.soa().time_view(), dag.sink().0, &prev, dirty_tails)
+                .expect("planner DAG is acyclic by construction");
         PlannerPotentials {
             min_time_to: pots.min_weight_to,
             min_cost_to: pots.min_resource_to,
@@ -177,86 +109,98 @@ impl PlannerPotentials {
 /// [`solve_on_dag`] accelerated by precomputed [`PlannerPotentials`].
 ///
 /// [`Strategy::ExactCsp`] runs the A*-guided, bound- and
-/// incumbent-pruned label search over the DAG's flat SoA edge store
-/// (exactness argument in `astra_graph::csp`; answers bit-identical to
-/// the plain solver, which the equivalence suites gate).
-/// [`Strategy::Algorithm1`] reuses the time (or cost) potential as an
-/// admissible A* heuristic for every Dijkstra round of the paper's
-/// edge-removal loop — masking edges only raises distances, so one
-/// backward sweep serves all removals. The remaining strategies
-/// delegate to the plain solver unchanged. When `telemetry` is enabled,
-/// label-search effort is reported through the `planner.csp.labels_*`
-/// counters and Algorithm 1 rounds through `planner.alg1.removals`.
+/// incumbent-pruned label search (exactness argument in
+/// `astra_graph::csp`; answers bit-identical to the plain solver, which
+/// the equivalence suites gate). [`Strategy::Algorithm1`] reuses the
+/// time (or cost) potential as an admissible A* heuristic for every
+/// Dijkstra round of the paper's edge-removal loop — masking edges only
+/// raises distances, so one backward sweep serves all removals. When
+/// `telemetry` is enabled, label-search effort is reported through the
+/// `planner.csp.labels_*` counters and Algorithm 1 rounds through
+/// `planner.alg1.removals`.
 pub fn solve_on_dag_with_potentials(
     dag: &PlannerDag,
     potentials: &PlannerPotentials,
     objective: Objective,
     strategy: Strategy,
-    telemetry: &astra_telemetry::Telemetry,
+    telemetry: &Telemetry,
 ) -> Option<JobConfig> {
-    match strategy {
-        Strategy::ExactCsp => {}
-        Strategy::Algorithm1 => {
-            let g = dag.graph();
-            let (src, dst) = (dag.source(), dag.sink());
-            let sol = match objective {
-                Objective::MinimizeTime { budget } => algorithm1_guided_capped(
-                    g,
-                    src,
-                    dst,
-                    (budget.nanos() as f64 * 1e-3) * (1.0 + BOUND_EPS) + BOUND_EPS,
-                    MAX_ALG1_REMOVALS,
-                    &potentials.min_time_to,
-                    |_, m| m.time_s,
-                    |_, m| m.cost_nanos as f64 * 1e-3,
-                ),
-                Objective::MinimizeCost { deadline_s } => algorithm1_guided_capped(
-                    g,
-                    src,
-                    dst,
-                    deadline_s * (1.0 + BOUND_EPS) + BOUND_EPS,
-                    MAX_ALG1_REMOVALS,
-                    &potentials.min_cost_to,
-                    |_, m| m.cost_nanos as f64 * 1e-3,
-                    |_, m| m.time_s,
-                ),
-            };
+    solve(dag, Some(potentials), objective, strategy, telemetry)
+}
+
+/// Pick the store view and bound for `objective`, then solve on it.
+fn solve(
+    dag: &PlannerDag,
+    potentials: Option<&PlannerPotentials>,
+    objective: Objective,
+    strategy: Strategy,
+    telemetry: &Telemetry,
+) -> Option<JobConfig> {
+    let soa = dag.soa();
+    let (src, dst) = (dag.source().0, dag.sink().0);
+    let slack = |bound: f64| bound * (1.0 + BOUND_EPS) + BOUND_EPS;
+    let edges = match objective {
+        Objective::MinimizeTime { budget } => solve_view(
+            &mut soa.time_view(),
+            src,
+            dst,
+            slack(budget.nanos() as f64 * 1e-3),
+            potentials.map(|p| (p.min_time_to.as_slice(), p.min_cost_to.as_slice())),
+            strategy,
+            telemetry,
+        ),
+        Objective::MinimizeCost { deadline_s } => solve_view(
+            &mut soa.cost_view(),
+            src,
+            dst,
+            slack(deadline_s),
+            potentials.map(|p| (p.min_cost_to.as_slice(), p.min_time_to.as_slice())),
+            strategy,
+            telemetry,
+        ),
+    }?;
+    Some(dag.config_for_path(&edges))
+}
+
+/// Run `strategy` on one oriented view: minimize its weight subject to
+/// its resource summing to at most `bound`. `lb` holds the (weight,
+/// resource) potentials for the guided searches.
+fn solve_view<X: EdgeExpand>(
+    view: &mut X,
+    src: u32,
+    dst: u32,
+    bound: f64,
+    lb: Option<(&[f64], &[f64])>,
+    strategy: Strategy,
+    telemetry: &Telemetry,
+) -> Option<Vec<EdgeId>> {
+    match (strategy, lb) {
+        (Strategy::Algorithm1, lb) => {
+            let sol = algorithm1(view, src, dst, bound, MAX_ALG1_REMOVALS, lb.map(|(w, _)| w));
             if telemetry.enabled() {
                 if let Some(s) = &sol {
                     telemetry.counter("planner.alg1.removals", s.edges_removed as u64);
                 }
             }
-            return sol.map(|s| dag.config_for_path(&s.path.edges));
+            sol.map(|s| s.path.edges)
         }
-        _ => return solve_on_dag(dag, objective, strategy),
+        (Strategy::ExactCsp, None) => {
+            constrained_shortest_path(view, src, dst, bound).map(|sol| sol.edges)
+        }
+        (Strategy::ExactCsp, Some((lb_w, lb_r))) => {
+            let run = constrained_shortest_path_with_bounds(view, src, dst, bound, lb_w, lb_r);
+            if telemetry.enabled() {
+                let s = run.stats;
+                telemetry.counter("planner.csp.labels_created", s.labels_created);
+                telemetry.counter("planner.csp.labels_settled", s.labels_settled);
+                telemetry.counter("planner.csp.labels_pruned", s.pruned_total());
+            }
+            run.solution.map(|sol| sol.edges)
+        }
+        (Strategy::Exhaustive, _) => {
+            unreachable!("Exhaustive does not run on the DAG; use solve_exhaustive")
+        }
     }
-    let soa = dag.soa();
-    let (src, dst) = (dag.source().0, dag.sink().0);
-    let run = match objective {
-        Objective::MinimizeTime { budget } => constrained_shortest_path_with_bounds_on(
-            &mut soa.time_view(),
-            src,
-            dst,
-            (budget.nanos() as f64 * 1e-3) * (1.0 + BOUND_EPS) + BOUND_EPS,
-            &potentials.min_time_to,
-            &potentials.min_cost_to,
-        ),
-        Objective::MinimizeCost { deadline_s } => constrained_shortest_path_with_bounds_on(
-            &mut soa.cost_view(),
-            src,
-            dst,
-            deadline_s * (1.0 + BOUND_EPS) + BOUND_EPS,
-            &potentials.min_cost_to,
-            &potentials.min_time_to,
-        ),
-    };
-    if telemetry.enabled() {
-        let s = run.stats;
-        telemetry.counter("planner.csp.labels_created", s.labels_created);
-        telemetry.counter("planner.csp.labels_settled", s.labels_settled);
-        telemetry.counter("planner.csp.labels_pruned", s.pruned_total());
-    }
-    run.solution.map(|sol| dag.config_for_path(&sol.edges))
 }
 
 /// Brute-force reference solver: evaluate every configuration in `space`
@@ -279,7 +223,7 @@ pub fn solve_exhaustive(
         catalog,
         space,
         objective,
-        &astra_telemetry::Telemetry::disabled(),
+        &Telemetry::disabled(),
     )
 }
 
@@ -294,7 +238,7 @@ pub fn solve_exhaustive_with_telemetry(
     catalog: &PriceCatalog,
     space: &ConfigSpace,
     objective: Objective,
-    telemetry: &astra_telemetry::Telemetry,
+    telemetry: &Telemetry,
 ) -> Option<JobConfig> {
     use std::sync::atomic::{AtomicU64, Ordering};
     let cache = ModelCache::new(job, platform);
@@ -449,21 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn path_enumeration_agrees_with_exact_csp() {
-        let (job, platform, catalog, _, dag) = setup(5, &[128, 1024]);
-        let cheapest = solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
-        let (_, min_cost) = eval(&job, &platform, &catalog, &cheapest);
-        let objective = Objective::MinimizeTime {
-            budget: min_cost.scale(1.5),
-        };
-        let a = solve_on_dag(&dag, objective, Strategy::ExactCsp).unwrap();
-        let b = solve_on_dag(&dag, objective, Strategy::PathEnumeration).unwrap();
-        let (ta, _) = eval(&job, &platform, &catalog, &a);
-        let (tb, _) = eval(&job, &platform, &catalog, &b);
-        assert!((ta - tb).abs() < 1e-9);
-    }
-
-    #[test]
     fn algorithm1_finds_a_feasible_plan() {
         let (job, platform, catalog, _, dag) = setup(6, &[128, 512, 3008]);
         let cheapest = solve_on_dag(&dag, Objective::cheapest(), Strategy::ExactCsp).unwrap();
@@ -545,7 +474,7 @@ mod tests {
         let objective = Objective::MinimizeTime {
             budget: Money::from_nanos(1),
         };
-        for strategy in [Strategy::Algorithm1, Strategy::ExactCsp, Strategy::PathEnumeration] {
+        for strategy in [Strategy::Algorithm1, Strategy::ExactCsp] {
             assert!(solve_on_dag(&dag, objective, strategy).is_none(), "{strategy:?}");
         }
     }

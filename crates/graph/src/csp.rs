@@ -103,18 +103,18 @@ pub struct Potentials {
     pub min_resource_to: Vec<f64>,
 }
 
-/// Abstract out-edge expansion over a two-metric graph. The label core,
-/// the potentials DP and the greedy incumbent descent are generic over
-/// this, so one monomorphized implementation serves both a [`DiGraph`]
-/// with metric closures and the planner's flat CSR (struct-of-arrays)
-/// edge store, which iterates linearly over `times`/`costs` slices
-/// instead of chasing per-node list pointers.
+/// Abstract out-edge expansion over a two-metric graph. Every algorithm
+/// in this crate — the label core, the potentials DP, the greedy
+/// incumbent descent and Dijkstra — is generic over this, so one
+/// monomorphized implementation serves both the planner's flat CSR
+/// (struct-of-arrays) edge store, which iterates linearly over its
+/// `times`/`costs` slices, and a small [`DiGraph`] read through metric
+/// closures ([`ClosureExpand`], for tests and benches).
 ///
 /// Implementations must yield a node's out-edges in a **fixed canonical
 /// order** — every exact tie in the search is broken by expansion order,
 /// so two stores that claim bit-identical answers must expand
-/// identically (the planner's CSR mirrors `DiGraph::out_edges` order for
-/// exactly this reason).
+/// identically.
 pub trait EdgeExpand {
     /// Number of nodes; ids are dense in `0..node_count()`.
     fn node_count(&self) -> usize;
@@ -128,10 +128,26 @@ pub trait EdgeExpand {
 /// The [`DiGraph`]-backed store: metric closures evaluated on intrusive
 /// adjacency lists (most-recently-added first, as [`DiGraph::out_edges`]
 /// iterates).
-struct ClosureExpand<'g, N, E, W, R> {
+pub struct ClosureExpand<'g, N, E, W, R> {
     g: &'g DiGraph<N, E>,
     weight: W,
     resource: R,
+}
+
+impl<'g, N, E, W, R> ClosureExpand<'g, N, E, W, R>
+where
+    W: FnMut(EdgeId, &E) -> f64,
+    R: FnMut(EdgeId, &E) -> f64,
+{
+    /// Read `g` with `weight` as the primary metric and `resource` as
+    /// the secondary one.
+    pub fn new(g: &'g DiGraph<N, E>, weight: W, resource: R) -> Self {
+        ClosureExpand {
+            g,
+            weight,
+            resource,
+        }
+    }
 }
 
 impl<N, E, W, R> EdgeExpand for ClosureExpand<'_, N, E, W, R>
@@ -172,24 +188,7 @@ where
 /// Both bounds are admissible (true minima) and consistent
 /// (`lb(u) <= w(u→v) + lb(v)` holds by construction), which is what the
 /// pruning in [`constrained_shortest_path_with_bounds`] relies on.
-pub fn dag_potentials<N, E>(
-    g: &DiGraph<N, E>,
-    target: NodeId,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-    resource: impl FnMut(EdgeId, &E) -> f64,
-) -> Option<Potentials> {
-    dag_potentials_on(
-        &mut ClosureExpand {
-            g,
-            weight,
-            resource,
-        },
-        target.0,
-    )
-}
-
-/// [`dag_potentials`] over any [`EdgeExpand`] store.
-pub fn dag_potentials_on<X: EdgeExpand>(g: &mut X, target: u32) -> Option<Potentials> {
+pub fn dag_potentials<X: EdgeExpand>(g: &mut X, target: u32) -> Option<Potentials> {
     let order = g.topo_order()?;
     let n = g.node_count();
     let mut min_weight_to = vec![f64::INFINITY; n];
@@ -222,14 +221,14 @@ pub fn dag_potentials_on<X: EdgeExpand>(g: &mut X, target: u32) -> Option<Potent
 ///
 /// `dirty_tails[u]` marks nodes whose *out-edge* weights may have
 /// changed. The sweep walks the same reverse topological order as
-/// [`dag_potentials_on`]; a node is recomputed when it is a dirty tail
+/// [`dag_potentials`]; a node is recomputed when it is a dirty tail
 /// or when any successor's potentials changed, otherwise its previous
 /// values are kept verbatim. Recomputation folds edges in the exact
 /// order of the full DP, so the result is bit-identical to running
-/// [`dag_potentials_on`] from scratch on the patched graph (marking
+/// [`dag_potentials`] from scratch on the patched graph (marking
 /// every node dirty degenerates to exactly that). Returns `None` on a
 /// cycle or when `prev`'s length does not match the graph.
-pub fn dag_potentials_resume_on<X: EdgeExpand>(
+pub fn dag_potentials_resume<X: EdgeExpand>(
     g: &mut X,
     target: u32,
     prev: &Potentials,
@@ -348,21 +347,15 @@ impl Ord for HeapItem {
 ///
 /// Returns `None` when no feasible path exists. See
 /// [`constrained_shortest_path_with_bounds`] for the potential-guided
-/// variant used on repeated planner queries.
-pub fn constrained_shortest_path<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
+/// variant used on repeated planner queries; this plain search is the
+/// oracle the tests check it against.
+pub fn constrained_shortest_path<X: EdgeExpand>(
+    g: &mut X,
+    source: u32,
+    target: u32,
     bound: f64,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-    resource: impl FnMut(EdgeId, &E) -> f64,
 ) -> Option<CspSolution> {
-    let mut x = ClosureExpand {
-        g,
-        weight,
-        resource,
-    };
-    csp_core(&mut x, source.0, target.0, bound, Unguided, f64::INFINITY).solution
+    csp_core(g, source, target, bound, Unguided, f64::INFINITY).solution
 }
 
 /// [`constrained_shortest_path`] accelerated by precomputed backward
@@ -376,31 +369,9 @@ pub fn constrained_shortest_path<N, E>(
 /// expansion and the first label settled at `target` still carries the
 /// lexicographic-minimum `(weight, resource)` — identical to the plain
 /// search (equivalence is property-tested). `lb_weight`/`lb_resource`
-/// must come from [`dag_potentials`] over the *same* metric closures
-/// (swap the two slices to answer the dual objective from one sweep).
-#[allow(clippy::too_many_arguments)]
-pub fn constrained_shortest_path_with_bounds<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    bound: f64,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-    resource: impl FnMut(EdgeId, &E) -> f64,
-    lb_weight: &[f64],
-    lb_resource: &[f64],
-) -> CspRun {
-    let mut x = ClosureExpand {
-        g,
-        weight,
-        resource,
-    };
-    constrained_shortest_path_with_bounds_on(&mut x, source.0, target.0, bound, lb_weight, lb_resource)
-}
-
-/// [`constrained_shortest_path_with_bounds`] over any [`EdgeExpand`]
-/// store: same feasibility short-circuit, greedy incumbent and guided
-/// label search, bit-identical answers for an identically-ordered store.
-pub fn constrained_shortest_path_with_bounds_on<X: EdgeExpand>(
+/// must come from [`dag_potentials`] over the *same* store (swap the two
+/// slices to answer the dual objective from one sweep).
+pub fn constrained_shortest_path_with_bounds<X: EdgeExpand>(
     g: &mut X,
     source: u32,
     target: u32,
@@ -433,12 +404,13 @@ pub fn constrained_shortest_path_with_bounds_on<X: EdgeExpand>(
     )
 }
 
-/// Compile-time switch between the plain lexicographic search and the
-/// potential-guided one, so the plain hot path carries no lookups, no
+/// Compile-time switch between the plain searches and the potential-
+/// guided ones (the CSP label core here, Dijkstra in
+/// [`crate::dijkstra`]), so the plain hot path carries no lookups, no
 /// zero-adds, and no incumbent check (the label search runs millions of
 /// edge relaxations per planner solve — a runtime `Option` on this path
 /// measurably slows the unguided case).
-trait Guide {
+pub(crate) trait Guide {
     /// Whether real lower bounds exist (drives dead-code elimination).
     const GUIDED: bool;
     /// Admissible lower bound on the remaining weight from `v`.
@@ -448,7 +420,7 @@ trait Guide {
 }
 
 /// Zero lower bounds: the classic lexicographic (weight, resource) search.
-struct Unguided;
+pub(crate) struct Unguided;
 impl Guide for Unguided {
     const GUIDED: bool = false;
     #[inline]
@@ -462,9 +434,9 @@ impl Guide for Unguided {
 }
 
 /// Potentials from [`dag_potentials`]: the A*-guided, pruned search.
-struct Guided<'a> {
-    lb_w: &'a [f64],
-    lb_r: &'a [f64],
+pub(crate) struct Guided<'a> {
+    pub(crate) lb_w: &'a [f64],
+    pub(crate) lb_r: &'a [f64],
 }
 impl Guide for Guided<'_> {
     const GUIDED: bool = true;
@@ -635,10 +607,37 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
+    type G = DiGraph<(), (f64, f64)>;
+    type Metric = fn(EdgeId, &(f64, f64)) -> f64;
+
+    /// Weight = the payload's `.0`, resource = its `.1`.
+    fn x(g: &G) -> ClosureExpand<'_, (), (f64, f64), Metric, Metric> {
+        ClosureExpand::new(g, |_, e| e.0, |_, e| e.1)
+    }
+
+    fn csp(g: &G, s: NodeId, t: NodeId, bound: f64) -> Option<CspSolution> {
+        constrained_shortest_path(&mut x(g), s.0, t.0, bound)
+    }
+
+    fn potentials(g: &G, t: NodeId) -> Option<Potentials> {
+        dag_potentials(&mut x(g), t.0)
+    }
+
+    fn guided(g: &G, s: NodeId, t: NodeId, bound: f64, pot: &Potentials) -> CspRun {
+        constrained_shortest_path_with_bounds(
+            &mut x(g),
+            s.0,
+            t.0,
+            bound,
+            &pot.min_weight_to,
+            &pot.min_resource_to,
+        )
+    }
+
     /// Two-metric diamond where the cheapest path violates the bound.
     #[test]
     fn constraint_forces_the_expensive_path() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let a = g.add_node(());
         let b = g.add_node(());
@@ -650,49 +649,49 @@ mod tests {
         g.add_edge(s, b, (3.0, 1.0));
         g.add_edge(b, t, (3.0, 1.0));
 
-        let sol = constrained_shortest_path(&g, s, t, 4.0, |_, e| e.0, |_, e| e.1).unwrap();
+        let sol = csp(&g, s, t, 4.0).unwrap();
         assert_eq!(sol.weight, 6.0);
         assert_eq!(sol.resource, 2.0);
 
         let unbounded =
-            constrained_shortest_path(&g, s, t, f64::INFINITY, |_, e| e.0, |_, e| e.1).unwrap();
+            csp(&g, s, t, f64::INFINITY).unwrap();
         assert_eq!(unbounded.weight, 2.0);
     }
 
     #[test]
     fn infeasible_returns_none() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let t = g.add_node(());
         g.add_edge(s, t, (1.0, 100.0));
         assert!(
-            constrained_shortest_path(&g, s, t, 50.0, |_, e| e.0, |_, e| e.1).is_none()
+            csp(&g, s, t, 50.0).is_none()
         );
     }
 
     #[test]
     fn exact_bound_is_feasible() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let t = g.add_node(());
         g.add_edge(s, t, (1.0, 100.0));
-        let sol = constrained_shortest_path(&g, s, t, 100.0, |_, e| e.0, |_, e| e.1);
+        let sol = csp(&g, s, t, 100.0);
         assert!(sol.is_some());
     }
 
     #[test]
     fn source_is_target() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
-        let sol = constrained_shortest_path(&g, s, s, 0.0, |_, e| e.0, |_, e| e.1).unwrap();
+        let sol = csp(&g, s, s, 0.0).unwrap();
         assert_eq!(sol.weight, 0.0);
         assert!(sol.edges.is_empty());
     }
 
     /// Random layered DAG for the potentials-resume tests: edges only
     /// go from lower to higher node id, so the graph is acyclic.
-    fn random_dag(rng: &mut StdRng, n: usize) -> DiGraph<(), (f64, f64)> {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+    fn random_dag(rng: &mut StdRng, n: usize) -> G {
+        let mut g: G = DiGraph::new();
         let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
         for i in 0..n {
             for j in (i + 1)..n {
@@ -710,10 +709,6 @@ mod tests {
         g
     }
 
-    fn full_potentials(g: &DiGraph<(), (f64, f64)>, target: NodeId) -> Potentials {
-        dag_potentials(g, target, |_, e| e.0, |_, e| e.1).unwrap()
-    }
-
     /// Resuming with every tail marked dirty degenerates to the full DP.
     #[test]
     fn resume_all_dirty_matches_full_dp() {
@@ -722,7 +717,7 @@ mod tests {
             let n = 4 + (trial % 13);
             let mut g = random_dag(&mut rng, n);
             let target = NodeId(n as u32 - 1);
-            let prev = full_potentials(&g, target);
+            let prev = potentials(&g, target).unwrap();
             // Perturb a handful of edges in place.
             for e in 0..g.edge_count() {
                 if rng.random_range(0..2) == 0 {
@@ -731,18 +726,14 @@ mod tests {
                 }
             }
             let dirty = vec![true; n];
-            let resumed = dag_potentials_resume_on(
-                &mut ClosureExpand {
-                    g: &g,
-                    weight: |_, e: &(f64, f64)| e.0,
-                    resource: |_, e: &(f64, f64)| e.1,
-                },
+            let resumed = dag_potentials_resume(
+                &mut x(&g),
                 target.0,
                 &prev,
                 &dirty,
             )
             .unwrap();
-            let fresh = full_potentials(&g, target);
+            let fresh = potentials(&g, target).unwrap();
             for u in 0..n {
                 assert_eq!(
                     resumed.min_weight_to[u].to_bits(),
@@ -765,7 +756,7 @@ mod tests {
             let n = 5 + (trial % 11);
             let mut g = random_dag(&mut rng, n);
             let target = NodeId(n as u32 - 1);
-            let prev = full_potentials(&g, target);
+            let prev = potentials(&g, target).unwrap();
             // Patch the out-edges of a random subset of tails.
             let mut dirty = vec![false; n];
             for (u, tail_dirty) in dirty.iter_mut().enumerate().take(n - 1) {
@@ -778,18 +769,14 @@ mod tests {
                     }
                 }
             }
-            let resumed = dag_potentials_resume_on(
-                &mut ClosureExpand {
-                    g: &g,
-                    weight: |_, e: &(f64, f64)| e.0,
-                    resource: |_, e: &(f64, f64)| e.1,
-                },
+            let resumed = dag_potentials_resume(
+                &mut x(&g),
                 target.0,
                 &prev,
                 &dirty,
             )
             .unwrap();
-            let fresh = full_potentials(&g, target);
+            let fresh = potentials(&g, target).unwrap();
             for u in 0..n {
                 assert_eq!(
                     resumed.min_weight_to[u].to_bits(),
@@ -813,7 +800,7 @@ mod tests {
     #[test]
     fn near_tied_resources_at_large_scale_use_relative_tolerance() {
         let bound = 1e9;
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let t = g.add_node(());
         // Within float noise of the bound (3e-13 relative, ~3e-4
@@ -823,15 +810,15 @@ mod tests {
         // Clearly under the bound but much slower: the fallback the old
         // epsilon would have wrongly selected.
         g.add_edge(s, t, (50.0, 0.5e9));
-        let sol = constrained_shortest_path(&g, s, t, bound, |_, e| e.0, |_, e| e.1).unwrap();
+        let sol = csp(&g, s, t, bound).unwrap();
         assert_eq!(sol.weight, 5.0, "noise-level overshoot must stay feasible");
 
         // A real violation (0.1% over) is still infeasible.
-        let mut g2: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g2: G = DiGraph::new();
         let s2 = g2.add_node(());
         let t2 = g2.add_node(());
         g2.add_edge(s2, t2, (5.0, bound * 1.001));
-        assert!(constrained_shortest_path(&g2, s2, t2, bound, |_, e| e.0, |_, e| e.1).is_none());
+        assert!(csp(&g2, s2, t2, bound).is_none());
     }
 
     /// Near-tied *dominance* at large scale: a slightly-heavier label
@@ -839,7 +826,7 @@ mod tests {
     /// frontiers tight without changing which optimum is returned.
     #[test]
     fn near_tied_dominance_prunes_noise_level_duplicates() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let m = g.add_node(());
         let t = g.add_node(());
@@ -847,20 +834,20 @@ mod tests {
         g.add_edge(s, m, (w, 1.0));
         g.add_edge(s, m, (w * (1.0 + 1e-13), 1.0)); // noise-level twin
         g.add_edge(m, t, (1.0, 1.0));
-        let sol = constrained_shortest_path(&g, s, t, 10.0, |_, e| e.0, |_, e| e.1).unwrap();
+        let sol = csp(&g, s, t, 10.0).unwrap();
         assert_eq!(sol.weight, w + 1.0);
     }
 
     /// Exhaustive DFS reference for randomized cross-checks.
     fn brute_force(
-        g: &DiGraph<(), (f64, f64)>,
+        g: &G,
         s: NodeId,
         t: NodeId,
         bound: f64,
     ) -> Option<(f64, f64)> {
         #[allow(clippy::too_many_arguments)]
         fn dfs(
-            g: &DiGraph<(), (f64, f64)>,
+            g: &G,
             u: NodeId,
             t: NodeId,
             bound: f64,
@@ -894,8 +881,8 @@ mod tests {
     }
 
     /// Random layered DAG like the planner's: 4 layers, 2-4 nodes each.
-    fn random_layered_dag(rng: &mut StdRng) -> (DiGraph<(), (f64, f64)>, NodeId, NodeId) {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+    fn random_layered_dag(rng: &mut StdRng) -> (G, NodeId, NodeId) {
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let mut prev = vec![s];
         for _ in 0..4 {
@@ -925,7 +912,7 @@ mod tests {
         for case in 0..60 {
             let (g, s, t) = random_layered_dag(&mut rng);
             let bound = rng.random_range(5.0..20.0);
-            let got = constrained_shortest_path(&g, s, t, bound, |_, e| e.0, |_, e| e.1);
+            let got = csp(&g, s, t, bound);
             let want = brute_force(&g, s, t, bound);
             match (got, want) {
                 (None, None) => {}
@@ -950,19 +937,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4242);
         for case in 0..60 {
             let (g, s, t) = random_layered_dag(&mut rng);
-            let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).expect("layered DAG");
+            let pot = potentials(&g, t).expect("layered DAG");
             for bound in [3.0, 8.0, 14.0, f64::INFINITY] {
-                let plain = constrained_shortest_path(&g, s, t, bound, |_, e| e.0, |_, e| e.1);
-                let run = constrained_shortest_path_with_bounds(
-                    &g,
-                    s,
-                    t,
-                    bound,
-                    |_, e| e.0,
-                    |_, e| e.1,
-                    &pot.min_weight_to,
-                    &pot.min_resource_to,
-                );
+                let plain = csp(&g, s, t, bound);
+                let run = guided(&g, s, t, bound, &pot);
                 match (&plain, &run.solution) {
                     (None, None) => {}
                     (Some(p), Some(q)) => {
@@ -988,7 +966,7 @@ mod tests {
     /// target can realize them, and they lower-bound every path.
     #[test]
     fn potentials_are_admissible_minima() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let a = g.add_node(());
         let b = g.add_node(());
@@ -997,7 +975,7 @@ mod tests {
         g.add_edge(a, t, (1.0, 5.0));
         g.add_edge(s, b, (3.0, 1.0));
         g.add_edge(b, t, (3.0, 1.0));
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
+        let pot = potentials(&g, t).unwrap();
         assert_eq!(pot.min_weight_to[s.0 as usize], 2.0);
         assert_eq!(pot.min_resource_to[s.0 as usize], 2.0);
         assert_eq!(pot.min_weight_to[a.0 as usize], 1.0);
@@ -1009,24 +987,15 @@ mod tests {
     /// and its labels are pruned instead of expanded.
     #[test]
     fn unreachable_branches_are_pruned() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let dead = g.add_node(());
         let t = g.add_node(());
         g.add_edge(s, dead, (0.1, 0.1)); // dead end
         g.add_edge(s, t, (1.0, 1.0));
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
+        let pot = potentials(&g, t).unwrap();
         assert!(pot.min_weight_to[dead.0 as usize].is_infinite());
-        let run = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            10.0,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let run = guided(&g, s, t, 10.0, &pot);
         assert_eq!(run.solution.unwrap().weight, 1.0);
         assert!(run.stats.pruned_bound >= 1, "dead branch must be pruned");
     }
@@ -1037,17 +1006,8 @@ mod tests {
     fn pruning_reduces_search_effort() {
         let mut rng = StdRng::seed_from_u64(99);
         let (g, s, t) = random_layered_dag(&mut rng);
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
-        let run = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            9.0,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let pot = potentials(&g, t).unwrap();
+        let run = guided(&g, s, t, 9.0, &pot);
         assert!(run.solution.is_some());
         assert!(
             run.stats.pruned_total() > 0,
@@ -1057,16 +1017,7 @@ mod tests {
         // With the bound loose, the incumbent from the feasible greedy
         // min-weight path caps pushes at the true optimum's priority and
         // the answer is exactly that optimum.
-        let loose = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            f64::INFINITY,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let loose = guided(&g, s, t, f64::INFINITY, &pot);
         // (Approximate: the forward path sum and the backward DP sum
         // accumulate in different orders.)
         let lsol = loose.solution.unwrap();
@@ -1076,21 +1027,12 @@ mod tests {
     /// Infeasibility is detected from the source potential alone.
     #[test]
     fn potentials_detect_infeasibility_immediately() {
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let t = g.add_node(());
         g.add_edge(s, t, (1.0, 100.0));
-        let pot = dag_potentials(&g, t, |_, e| e.0, |_, e| e.1).unwrap();
-        let run = constrained_shortest_path_with_bounds(
-            &g,
-            s,
-            t,
-            50.0,
-            |_, e| e.0,
-            |_, e| e.1,
-            &pot.min_weight_to,
-            &pot.min_resource_to,
-        );
+        let pot = potentials(&g, t).unwrap();
+        let run = guided(&g, s, t, 50.0, &pot);
         assert!(run.solution.is_none());
         assert_eq!(run.stats.labels_created, 0, "no search needed");
     }
@@ -1098,7 +1040,7 @@ mod tests {
     #[test]
     fn solution_edges_are_contiguous() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let mid: Vec<NodeId> = (0..5).map(|_| g.add_node(())).collect();
         let t = g.add_node(());
@@ -1107,7 +1049,7 @@ mod tests {
             g.add_edge(m, t, (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0)));
         }
         let sol =
-            constrained_shortest_path(&g, s, t, 100.0, |_, e| e.0, |_, e| e.1).unwrap();
+            csp(&g, s, t, 100.0).unwrap();
         assert_eq!(sol.edges.len(), 2);
         assert_eq!(g.endpoints(sol.edges[0]).0, s);
         assert_eq!(g.endpoints(sol.edges[0]).1, g.endpoints(sol.edges[1]).0);

@@ -1,9 +1,10 @@
-//! Single-source shortest paths (Dijkstra) with closure-supplied weights.
+//! Single-source shortest paths (Dijkstra), optionally A*-guided.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::graph::{DiGraph, EdgeId, NodeId};
+use crate::csp::{EdgeExpand, Guide, Guided, Unguided};
+use crate::graph::EdgeId;
 
 /// A shortest path: its total weight and the edge sequence from source to
 /// target.
@@ -13,23 +14,15 @@ pub struct ShortestPath {
     pub weight: f64,
     /// Edges in order from source to target.
     pub edges: Vec<EdgeId>,
-}
-
-impl ShortestPath {
-    /// Node sequence of the path (source first), derived from the edges.
-    pub fn nodes<N, E>(&self, g: &DiGraph<N, E>, source: NodeId) -> Vec<NodeId> {
-        let mut out = vec![source];
-        for &e in &self.edges {
-            out.push(g.endpoints(e).1);
-        }
-        out
-    }
+    /// Each edge's resource metric, in path order (Algorithm 1 walks
+    /// these to find where its constraint trips).
+    pub resources: Vec<f64>,
 }
 
 #[derive(PartialEq)]
 struct HeapEntry {
-    dist: f64,
-    node: NodeId,
+    prio: f64,
+    node: u32,
 }
 
 impl Eq for HeapEntry {}
@@ -42,127 +35,75 @@ impl PartialOrd for HeapEntry {
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance; tie-break on node id for determinism.
+        // Min-heap on priority; tie-break on node id for determinism.
         other
-            .dist
-            .total_cmp(&self.dist)
+            .prio
+            .total_cmp(&self.prio)
             .then_with(|| other.node.cmp(&self.node))
     }
 }
 
-/// Dijkstra's algorithm from `source` to `target`.
+/// Dijkstra's algorithm from `source` to `target` on the store's weight
+/// metric (which must be **non-negative**; negative weights panic in
+/// debug builds and corrupt results in release, as usual for Dijkstra).
 ///
-/// * `weight` maps an edge (id + payload) to a **non-negative** weight;
-///   negative weights panic in debug builds and corrupt results in release,
-///   as usual for Dijkstra.
-/// * `enabled` masks edges: Yen's algorithm and the paper's Algorithm 1
-///   re-run Dijkstra on subgraphs, which this avoids copying.
+/// * `lb_weight` optionally guides the search A*-style: `lb[v]` is an
+///   admissible, *consistent* lower bound on the remaining weight from
+///   `v` to `target` (e.g. [`crate::csp::Potentials::min_weight_to`]).
+///   The heap is then keyed on `d + lb[v]`, so far fewer nodes settle,
+///   while the returned path and its exact float weight match the
+///   unguided search whenever weights are tie-free: both settle nodes
+///   once, relax with strict `<`, and accumulate `d + w` identically
+///   along the chosen path. Nodes with `lb[v] = INFINITY` (cannot reach
+///   the target at all) are never pushed. `None` is the plain search,
+///   the same body with zero bounds.
+/// * `enabled` masks edges: the paper's Algorithm 1 re-runs Dijkstra on
+///   subgraphs, which this avoids copying. Bounds computed on the full
+///   graph stay consistent on every masked subgraph, because removing
+///   edges only raises true distances.
 ///
 /// Returns `None` when `target` is unreachable through enabled edges.
-pub fn shortest_path<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    mut weight: impl FnMut(EdgeId, &E) -> f64,
-    mut enabled: impl FnMut(EdgeId) -> bool,
+pub fn shortest_path<X: EdgeExpand>(
+    g: &mut X,
+    source: u32,
+    target: u32,
+    lb_weight: Option<&[f64]>,
+    enabled: impl FnMut(EdgeId) -> bool,
 ) -> Option<ShortestPath> {
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<EdgeId>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-
-    dist[source.0 as usize] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: source,
-    });
-
-    while let Some(HeapEntry { dist: d, node: u }) = heap.pop() {
-        let ui = u.0 as usize;
-        if done[ui] {
-            continue;
-        }
-        done[ui] = true;
-        if u == target {
-            break;
-        }
-        for (eid, payload) in g.out_edges(u) {
-            if !enabled(eid) {
-                continue;
-            }
-            let w = weight(eid, payload);
-            debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
-            let (_, v) = g.endpoints(eid);
-            let vi = v.0 as usize;
-            let nd = d + w;
-            if nd < dist[vi] {
-                dist[vi] = nd;
-                prev[vi] = Some(eid);
-                heap.push(HeapEntry { dist: nd, node: v });
-            }
-        }
+    match lb_weight {
+        None => dijkstra_core(g, source, target, Unguided, enabled),
+        // Dijkstra reads only the weight bound.
+        Some(lb) => dijkstra_core(g, source, target, Guided { lb_w: lb, lb_r: &[] }, enabled),
     }
-
-    if !dist[target.0 as usize].is_finite() {
-        return None;
-    }
-
-    // Reconstruct the edge sequence by walking predecessors.
-    let mut edges = Vec::new();
-    let mut cur = target;
-    while cur != source {
-        let e = prev[cur.0 as usize].expect("broken predecessor chain");
-        edges.push(e);
-        cur = g.endpoints(e).0;
-    }
-    edges.reverse();
-    Some(ShortestPath {
-        weight: dist[target.0 as usize],
-        edges,
-    })
 }
 
-/// A*: [`shortest_path`] guided by a per-node admissible, *consistent*
-/// lower bound `lb[v]` on the remaining distance from `v` to `target`
-/// (e.g. the weight potentials of `csp::dag_potentials`). The heap is
-/// keyed on `d + lb[v]`, so the search settles far fewer nodes while the
-/// returned path and its exact float weight match plain Dijkstra
-/// whenever weights are tie-free (both settle nodes once, relax with
-/// strict `<`, and accumulate `d + w` identically along the chosen
-/// path).
-///
-/// Consistency (`lb[u] <= w(u→v) + lb[v]` on every *enabled* edge) keeps
-/// the settle-once property; bounds computed on a supergraph stay valid
-/// when `enabled` masks edges away, because removing edges only raises
-/// true distances — exactly the shape of the paper's Algorithm 1, which
-/// re-runs this search after each edge removal. Nodes with
-/// `lb[v] = INFINITY` (cannot reach the target at all) are never pushed.
-pub fn shortest_path_guided<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    mut weight: impl FnMut(EdgeId, &E) -> f64,
+/// The one Dijkstra body, monomorphized per [`Guide`] like the CSP
+/// label core: [`Unguided`] compiles to the plain search.
+fn dijkstra_core<X: EdgeExpand, G: Guide>(
+    g: &mut X,
+    source: u32,
+    target: u32,
+    guide: G,
     mut enabled: impl FnMut(EdgeId) -> bool,
-    lb: &[f64],
 ) -> Option<ShortestPath> {
-    let n = g.node_count();
-    if lb[source.0 as usize].is_infinite() {
+    if G::GUIDED && guide.lb_w(source).is_infinite() {
         return None;
     }
+    let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<EdgeId>> = vec![None; n];
+    // Per node: the edge that reached it, that edge's tail and resource.
+    let mut prev: Vec<Option<(EdgeId, u32, f64)>> = vec![None; n];
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::new();
 
-    dist[source.0 as usize] = 0.0;
+    dist[source as usize] = 0.0;
     heap.push(HeapEntry {
-        dist: lb[source.0 as usize],
+        prio: if G::GUIDED { guide.lb_w(source) } else { 0.0 },
         node: source,
     });
 
     while let Some(HeapEntry { node: u, .. }) = heap.pop() {
-        let ui = u.0 as usize;
+        let ui = u as usize;
         if done[ui] {
             continue;
         }
@@ -171,65 +112,74 @@ pub fn shortest_path_guided<N, E>(
             break;
         }
         let d = dist[ui];
-        for (eid, payload) in g.out_edges(u) {
+        g.for_each_out(u, |eid, v, w, r| {
             if !enabled(eid) {
-                continue;
+                return;
             }
-            let w = weight(eid, payload);
             debug_assert!(w >= 0.0, "Dijkstra requires non-negative weights");
-            let (_, v) = g.endpoints(eid);
-            let vi = v.0 as usize;
-            if lb[vi].is_infinite() {
-                continue; // cannot reach the target from v
+            if G::GUIDED && guide.lb_w(v).is_infinite() {
+                return; // cannot reach the target from v
             }
+            let vi = v as usize;
             let nd = d + w;
             if nd < dist[vi] {
                 dist[vi] = nd;
-                prev[vi] = Some(eid);
+                prev[vi] = Some((eid, u, r));
                 heap.push(HeapEntry {
-                    dist: nd + lb[vi],
+                    prio: if G::GUIDED { nd + guide.lb_w(v) } else { nd },
                     node: v,
                 });
             }
-        }
+        });
     }
 
-    if !done[target.0 as usize] || !dist[target.0 as usize].is_finite() {
+    if !done[target as usize] || !dist[target as usize].is_finite() {
         return None;
     }
-    let mut edges = Vec::new();
+    // Reconstruct the edge sequence by walking predecessors.
+    let (mut edges, mut resources) = (Vec::new(), Vec::new());
     let mut cur = target;
     while cur != source {
-        let e = prev[cur.0 as usize].expect("broken predecessor chain");
+        let (e, tail, r) = prev[cur as usize].expect("broken predecessor chain");
         edges.push(e);
-        cur = g.endpoints(e).0;
+        resources.push(r);
+        cur = tail;
     }
     edges.reverse();
+    resources.reverse();
     Some(ShortestPath {
-        weight: dist[target.0 as usize],
+        weight: dist[target as usize],
         edges,
+        resources,
     })
-}
-
-/// Convenience wrapper: shortest path with all edges enabled.
-pub fn shortest_path_all<N, E>(
-    g: &DiGraph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    weight: impl FnMut(EdgeId, &E) -> f64,
-) -> Option<ShortestPath> {
-    shortest_path(g, source, target, weight, |_| true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csp::{dag_potentials, ClosureExpand};
+    use crate::graph::{DiGraph, NodeId};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    fn w(_: EdgeId, e: &f64) -> f64 {
-        *e
+    type G = DiGraph<(), f64>;
+    type Metric = fn(EdgeId, &f64) -> f64;
+
+    /// Weight = the payload, resource = 0.
+    fn view(g: &G) -> ClosureExpand<'_, (), f64, Metric, Metric> {
+        ClosureExpand::new(g, |_, e| *e, |_, _| 0.0)
+    }
+
+    fn shortest_path_all(g: &G, s: NodeId, t: NodeId) -> Option<ShortestPath> {
+        shortest_path(&mut view(g), s.0, t.0, None, |_| true)
+    }
+
+    /// Node sequence of a path (source first).
+    fn nodes(g: &G, source: NodeId, p: &ShortestPath) -> Vec<NodeId> {
+        let mut out = vec![source];
+        out.extend(p.edges.iter().map(|&e| g.endpoints(e).1));
+        out
     }
 
     #[test]
@@ -243,24 +193,24 @@ mod tests {
         g.add_edge(a, t, 1.0);
         g.add_edge(s, b, 1.0);
         g.add_edge(b, t, 5.0);
-        let p = shortest_path_all(&g, s, t, w).unwrap();
+        let p = shortest_path_all(&g, s, t).unwrap();
         assert_eq!(p.weight, 2.0);
-        assert_eq!(p.nodes(&g, s), vec![s, a, t]);
+        assert_eq!(nodes(&g, s, &p), vec![s, a, t]);
     }
 
     #[test]
     fn unreachable_returns_none() {
-        let mut g: DiGraph<(), f64> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
         let t = g.add_node(());
-        assert!(shortest_path_all(&g, s, t, w).is_none());
+        assert!(shortest_path_all(&g, s, t).is_none());
     }
 
     #[test]
     fn source_equals_target_is_empty_path() {
-        let mut g: DiGraph<(), f64> = DiGraph::new();
+        let mut g: G = DiGraph::new();
         let s = g.add_node(());
-        let p = shortest_path_all(&g, s, s, w).unwrap();
+        let p = shortest_path_all(&g, s, s).unwrap();
         assert_eq!(p.weight, 0.0);
         assert!(p.edges.is_empty());
     }
@@ -274,7 +224,7 @@ mod tests {
         let a = g.add_node(());
         g.add_edge(s, a, 2.0);
         g.add_edge(a, t, 2.0);
-        let p = shortest_path(&g, s, t, w, |e| e != direct).unwrap();
+        let p = shortest_path(&mut view(&g), s.0, t.0, None, |e| e != direct).unwrap();
         assert_eq!(p.weight, 4.0);
         assert_eq!(p.edges.len(), 2);
     }
@@ -287,12 +237,25 @@ mod tests {
         let t = g.add_node(());
         g.add_edge(s, a, 0.0);
         g.add_edge(a, t, 0.0);
-        let p = shortest_path_all(&g, s, t, w).unwrap();
+        let p = shortest_path_all(&g, s, t).unwrap();
         assert_eq!(p.weight, 0.0);
     }
 
+    #[test]
+    fn path_carries_each_edge_resource() {
+        let mut g: DiGraph<(), (f64, f64)> = DiGraph::new();
+        let s = g.add_node(());
+        let a = g.add_node(());
+        let t = g.add_node(());
+        g.add_edge(s, a, (1.0, 7.0));
+        g.add_edge(a, t, (1.0, 3.0));
+        let mut x = ClosureExpand::new(&g, |_, e: &(f64, f64)| e.0, |_, e: &(f64, f64)| e.1);
+        let p = shortest_path(&mut x, s.0, t.0, None, |_| true).unwrap();
+        assert_eq!(p.resources, vec![7.0, 3.0]);
+    }
+
     /// Bellman–Ford reference used for randomized cross-checks.
-    fn bellman_ford(g: &DiGraph<(), f64>, s: NodeId, t: NodeId) -> Option<f64> {
+    fn bellman_ford(g: &G, s: NodeId, t: NodeId) -> Option<f64> {
         let n = g.node_count();
         let mut dist = vec![f64::INFINITY; n];
         dist[s.0 as usize] = 0.0;
@@ -323,7 +286,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2024);
         for _ in 0..50 {
             let n = rng.random_range(2..30usize);
-            let mut g: DiGraph<(), f64> = DiGraph::new();
+            let mut g: G = DiGraph::new();
             let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
             for i in 0..n {
                 for j in (i + 1)..n {
@@ -334,7 +297,7 @@ mod tests {
             }
             let s = nodes[0];
             let t = nodes[n - 1];
-            let dij = shortest_path_all(&g, s, t, w).map(|p| p.weight);
+            let dij = shortest_path_all(&g, s, t).map(|p| p.weight);
             let bf = bellman_ford(&g, s, t);
             match (dij, bf) {
                 (None, None) => {}
@@ -353,7 +316,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(515);
         for case in 0..50 {
             let n = rng.random_range(3..25usize);
-            let mut g: DiGraph<(), f64> = DiGraph::new();
+            let mut g: G = DiGraph::new();
             let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
             let mut eids = Vec::new();
             for i in 0..n - 1 {
@@ -365,7 +328,7 @@ mod tests {
                 }
             }
             let (s, t) = (nodes[0], nodes[n - 1]);
-            let pot = crate::csp::dag_potentials(&g, t, |_, e| *e, |_, _| 0.0).unwrap();
+            let pot = dag_potentials(&mut view(&g), t.0).unwrap();
             // Mask a random subset of edges; the unmasked potentials stay
             // admissible and consistent on the subgraph.
             let masked: Vec<EdgeId> = eids
@@ -374,8 +337,9 @@ mod tests {
                 .filter(|_| rng.random::<f64>() < 0.2)
                 .collect();
             let enabled = |e: EdgeId| !masked.contains(&e);
-            let plain = shortest_path(&g, s, t, w, enabled);
-            let guided = shortest_path_guided(&g, s, t, w, enabled, &pot.min_weight_to);
+            let plain = shortest_path(&mut view(&g), s.0, t.0, None, enabled);
+            let guided =
+                shortest_path(&mut view(&g), s.0, t.0, Some(&pot.min_weight_to), enabled);
             match (&plain, &guided) {
                 (None, None) => {}
                 (Some(p), Some(q)) => {
@@ -392,7 +356,7 @@ mod tests {
         fn path_weight_equals_sum_of_edges(seed in 0u64..500) {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.random_range(2..20usize);
-            let mut g: DiGraph<(), f64> = DiGraph::new();
+            let mut g: G = DiGraph::new();
             let nodes: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
             for i in 0..n - 1 {
                 // Guarantee connectivity along the chain, plus random skips.
@@ -403,11 +367,11 @@ mod tests {
                     }
                 }
             }
-            let p = shortest_path_all(&g, nodes[0], nodes[n - 1], w).unwrap();
+            let p = shortest_path_all(&g, nodes[0], nodes[n - 1]).unwrap();
             let sum: f64 = p.edges.iter().map(|&e| *g.edge(e)).sum();
             prop_assert!((sum - p.weight).abs() < 1e-9);
             // Path must be contiguous from source to target.
-            let seq = p.nodes(&g, nodes[0]);
+            let seq = super::tests::nodes(&g, nodes[0], &p);
             prop_assert_eq!(seq[0], nodes[0]);
             prop_assert_eq!(*seq.last().unwrap(), nodes[n - 1]);
             for (k, &e) in p.edges.iter().enumerate() {

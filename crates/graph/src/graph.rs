@@ -38,9 +38,9 @@ struct Edge<E> {
 
 /// A directed graph stored in two flat arenas with intrusive out-edge lists.
 ///
-/// Built for the planner's layered DAG: millions of edges are appended once
-/// and then traversed many times by Dijkstra, so the representation is
-/// append-only and cache-friendly (no per-node `Vec` allocations).
+/// The small-graph builder for tests and benches: the algorithms read it
+/// through [`crate::csp::ClosureExpand`]. (The planner's own DAG lives in
+/// a flat CSR store instead.)
 #[derive(Debug, Clone)]
 pub struct DiGraph<N, E> {
     nodes: Vec<Node<N>>,
@@ -59,14 +59,6 @@ impl<N, E> DiGraph<N, E> {
         DiGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
-        }
-    }
-
-    /// An empty graph with preallocated capacity.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        DiGraph {
-            nodes: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
         }
     }
 

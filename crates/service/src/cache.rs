@@ -190,7 +190,6 @@ impl SessionKey {
         f.u64(match strategy {
             Strategy::Algorithm1 => 0,
             Strategy::ExactCsp => 1,
-            Strategy::PathEnumeration => 2,
             Strategy::Exhaustive => 3,
         });
         f.bool(prune.pareto_tiers);

@@ -377,8 +377,12 @@ impl Inner {
         )
     }
 
-    /// The whole per-job worker path; `Err` is a failure reason.
-    fn run_job(&self, id: JobId) -> Result<(), String> {
+    /// The whole per-job worker path up to (not including) the `Done`
+    /// transition, which [`Inner::finish`] takes once the worker has
+    /// released the job's claim. `Ok` carries the simulation outcome and
+    /// its wall time (`None` when no replication was asked for); `Err`
+    /// is a failure reason.
+    fn run_job(&self, id: JobId) -> Result<Option<(SimOutcome, u64)>, String> {
         let (request, accepted_ns) = {
             let table = self.table.lock().unwrap();
             let snap = table.jobs.get(&id).expect("dispatched unknown job");
@@ -409,9 +413,7 @@ impl Inner {
 
         if request.sim.replications == 0 {
             self.inject(FaultSite::WorkerFinish, id)?;
-            self.telemetry.counter("service.completed", 1);
-            self.transition(id, JobStatus::Done, |_| {});
-            return Ok(());
+            return Ok(None);
         }
 
         self.inject(FaultSite::WorkerSim, id)?;
@@ -435,12 +437,18 @@ impl Inner {
         }
         let sim_ns = wall_clock_ns().saturating_sub(sim_started);
         self.inject(FaultSite::WorkerFinish, id)?;
+        Ok(Some((sim, sim_ns)))
+    }
+
+    /// Publish a finished job's `Done` snapshot.
+    fn finish(&self, id: JobId, sim: Option<(SimOutcome, u64)>) {
         self.telemetry.counter("service.completed", 1);
         self.transition(id, JobStatus::Done, |snap| {
-            snap.sim = Some(sim);
-            snap.metrics.sim_ns = sim_ns;
+            if let Some((sim, sim_ns)) = sim {
+                snap.sim = Some(sim);
+                snap.metrics.sim_ns = sim_ns;
+            }
         });
-        Ok(())
     }
 
     /// The admission path a registered `Accepted` job takes to the
@@ -520,17 +528,22 @@ impl Inner {
 fn worker_loop(inner: Arc<Inner>) {
     while let Some(queued) = inner.scheduler.next() {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| inner.run_job(queued.id)));
+        if let Err(payload) = &result {
+            if payload.is::<CrashSignal>() {
+                // Simulated process death: the job stays non-terminal
+                // and the claim stays held, exactly as a kill -9 would
+                // leave them. The journal is the only way back.
+                return;
+            }
+        }
+        // Unconditionally (short of a crash), and before the terminal
+        // snapshot is published: a client that saw its job finish must
+        // never still see the job's claim held.
+        inner.scheduler.complete(&queued);
         match result {
-            Ok(Ok(())) => {}
+            Ok(Ok(sim)) => inner.finish(queued.id, sim),
             Ok(Err(reason)) => inner.fail(queued.id, reason),
             Err(payload) => {
-                if payload.is::<CrashSignal>() {
-                    // Simulated process death: the job stays
-                    // non-terminal and the claim stays held, exactly
-                    // as a kill -9 would leave them. The journal is
-                    // the only way back.
-                    return;
-                }
                 inner.telemetry.counter("service.worker.panics", 1);
                 inner.fail(
                     queued.id,
@@ -538,9 +551,6 @@ fn worker_loop(inner: Arc<Inner>) {
                 );
             }
         }
-        // Unconditionally (short of a crash): a held claim must never
-        // outlive its job.
-        inner.scheduler.complete(&queued);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Parallel/serial equivalence: the rayon-parallel planner hot paths must
 //! be *bit-identical* to their single-threaded references — same DAG
-//! (node order, edge order, every metric), same exhaustive-sweep winner,
+//! (node labels and every edge-store array), same exhaustive-sweep winner,
 //! and the same plan at any thread count. This is what makes the
 //! parallelism a pure wall-clock optimization rather than a semantics
 //! change.
@@ -39,29 +39,21 @@ fn reduced_space(job: &JobSpec, platform: &Platform) -> ConfigSpace {
     ConfigSpace::with_tiers(job, platform, &picks)
 }
 
-/// Assert two planner DAGs are bit-identical: same node choices in id
-/// order, same edge endpoints and metrics in id order.
+/// Assert two planner DAGs are bit-identical: same node labels in id
+/// order and every edge-store array equal bit for bit.
 fn assert_dags_identical(a: &PlannerDag, b: &PlannerDag, context: &str) {
-    let (ga, gb) = (a.graph(), b.graph());
-    assert_eq!(ga.node_count(), gb.node_count(), "node count ({context})");
-    assert_eq!(ga.edge_count(), gb.edge_count(), "edge count ({context})");
     assert_eq!(a.source(), b.source(), "source id ({context})");
     assert_eq!(a.sink(), b.sink(), "sink id ({context})");
-    for id in ga.node_ids() {
-        assert_eq!(ga.node(id), gb.node(id), "node {id:?} ({context})");
-    }
-    for id in ga.edge_ids() {
-        assert_eq!(ga.endpoints(id), gb.endpoints(id), "endpoints {id:?} ({context})");
-        let (ea, eb) = (ga.edge(id), gb.edge(id));
-        assert_eq!(
-            ea.time_s.to_bits(),
-            eb.time_s.to_bits(),
-            "edge {id:?} time {} vs {} ({context})",
-            ea.time_s,
-            eb.time_s
-        );
-        assert_eq!(ea.cost_nanos, eb.cost_nanos, "edge {id:?} cost ({context})");
-    }
+    assert!(a.nodes() == b.nodes(), "node labels ({context})");
+    let (sa, sb) = (a.soa(), b.soa());
+    let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(sa.offsets() == sb.offsets(), "offsets ({context})");
+    assert!(sa.heads() == sb.heads(), "heads ({context})");
+    assert!(sa.edge_ids() == sb.edge_ids(), "edge ids ({context})");
+    assert!(bits(sa.times()) == bits(sb.times()), "times ({context})");
+    assert!(sa.costs() == sb.costs(), "costs ({context})");
+    assert!(sa.multiplicity() == sb.multiplicity(), "multiplicity ({context})");
+    assert!(sa.topo() == sb.topo(), "topo ({context})");
 }
 
 /// Install a global thread-count override. The shim accepts repeated

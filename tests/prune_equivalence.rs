@@ -214,7 +214,7 @@ fn n50_full_space_smoke() {
         pruned.prune_stats().total() > 0,
         "pruning must fire on the full 46-tier space"
     );
-    assert!(pruned.graph().edge_count() < full.graph().edge_count());
+    assert!(pruned.soa().edges_stored() < full.soa().edges_stored());
     let potentials = PlannerPotentials::compute(&pruned);
     let tel = astra::telemetry::Telemetry::disabled();
 

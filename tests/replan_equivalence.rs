@@ -113,16 +113,19 @@ fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str
     for (i, (a, b)) in wp.min_cost_to().iter().zip(cp.min_cost_to()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: min_cost_to[{i}]");
     }
-    // Edge metrics must be bit-identical too (patched arena vs cold).
-    let (wg, cg) = (warm.dag().graph(), cold.dag().graph());
-    assert_eq!(wg.node_count(), cg.node_count(), "{ctx}: nodes");
-    assert_eq!(wg.edge_count(), cg.edge_count(), "{ctx}: edges");
-    for eid in wg.edge_ids() {
-        let (a, b) = (wg.edge(eid), cg.edge(eid));
-        assert_eq!(a.time_s.to_bits(), b.time_s.to_bits(), "{ctx}: edge {eid:?} time");
-        assert_eq!(a.cost_nanos, b.cost_nanos, "{ctx}: edge {eid:?} cost");
-        assert_eq!(wg.endpoints(eid), cg.endpoints(eid), "{ctx}: edge {eid:?} ends");
-    }
+    // The DAG must be bit-identical too (patched store vs cold): node
+    // labels and every edge-store array.
+    let (wd, cd) = (warm.dag(), cold.dag());
+    assert!(wd.nodes() == cd.nodes(), "{ctx}: node labels");
+    let (ws, cs) = (wd.soa(), cd.soa());
+    let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(ws.offsets() == cs.offsets(), "{ctx}: offsets");
+    assert!(ws.heads() == cs.heads(), "{ctx}: heads");
+    assert!(ws.edge_ids() == cs.edge_ids(), "{ctx}: edge ids");
+    assert!(bits(ws.times()) == bits(cs.times()), "{ctx}: times");
+    assert!(ws.costs() == cs.costs(), "{ctx}: costs");
+    assert!(ws.multiplicity() == cs.multiplicity(), "{ctx}: multiplicity");
+    assert!(ws.topo() == cs.topo(), "{ctx}: topo");
 
     let fastest = Objective::fastest();
     let cheapest = Objective::cheapest();
