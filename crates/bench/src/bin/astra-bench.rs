@@ -231,47 +231,17 @@ fn run_suite(args: &BenchArgs) -> Value {
             "speedup": cold_min / warm_min,
         }));
 
-        // Incremental re-planning: answer a changed-input re-quote by
-        // patching one live PlannerSession in place (apply_delta: edge
-        // recost + potentials resume + memo invalidation) vs the cold
-        // workflow (fresh session per delta). Both run unpruned — the
-        // configuration on which coefficient and price deltas stay on
-        // the in-place recost tier — and both solve the same binding
-        // budget after every delta. Samples rotate through
-        // [coeff+, price+, coeff−, price−], so `min_ms` reflects a
-        // mapper-coefficient patch and `mean_ms` mixes in the heavier
-        // price repass; the warmup sample also absorbs the session's
-        // lazy recost-plan capture.
+        // Re-quote cost: a changed-input re-quote is one cold session
+        // build plus a solve (the service cache never patches).
+        // Samples rotate through [coeff+, coeff+ & price+, price+,
+        // base] on the unpruned DAG, solving the same binding budget
+        // each time. The coefficient tweak is small enough that no
+        // mapper phase crosses the lambda timeout gate at any benched
+        // N, so every variant builds the base job's DAG shape.
         let platform = astra.platform().clone();
-        // The coefficient tweak must not push any mapper phase across
-        // the lambda timeout gate: a flipped gate changes the DAG shape
-        // and the patch tier (correctly) falls back to a rebuild. The
-        // safe margin depends on N — at N=202 some phases sit within 5%
-        // of the timeout — so probe from the largest tweak downward and
-        // bench the first one that stays on the patch tier.
-        let coeff_mult = {
-            let base = astra_core::PlannerSession::new(
-                &job,
-                platform.clone(),
-                *astra.catalog(),
-                space.clone(),
-                Strategy::ExactCsp,
-                PruneConfig::off(),
-            );
-            [1.05, 1.02, 1.01, 1.005, 1.001]
-                .into_iter()
-                .find(|&m| {
-                    let mut probe = base.clone();
-                    let mut tweaked = job.clone();
-                    tweaked.profile.map_secs_per_mb_128 *= m;
-                    probe.apply_delta(&tweaked, &platform, astra.catalog(), &space)
-                        == astra_core::ReplanOutcome::Patched
-                })
-                .expect("every probed coefficient tweak crossed the timeout gate")
-        };
         let variants: Vec<(astra_model::JobSpec, astra_pricing::PriceCatalog)> = {
             let mut tweaked = job.clone();
-            tweaked.profile.map_secs_per_mb_128 *= coeff_mult;
+            tweaked.profile.map_secs_per_mb_128 *= 1.001;
             let mut pricier = *astra.catalog();
             pricier.lambda.per_gb_second = pricier.lambda.per_gb_second.scale(2.0);
             vec![
@@ -303,40 +273,6 @@ fn run_suite(args: &BenchArgs) -> Value {
             rc_mean,
             rc_min,
         );
-        let mut session = astra_core::PlannerSession::new(
-            &job,
-            platform.clone(),
-            *astra.catalog(),
-            space.clone(),
-            Strategy::ExactCsp,
-            PruneConfig::off(),
-        );
-        let mut step = 0usize;
-        let (rd_mean, rd_min) = time_ms(args.samples, || {
-            let (j, c) = &variants[step % variants.len()];
-            step += 1;
-            let outcome = session.apply_delta(j, &platform, c, &space);
-            assert_eq!(
-                outcome,
-                astra_core::ReplanOutcome::Patched,
-                "replan bench delta fell off the patch tier"
-            );
-            session.solve(objective).is_some()
-        });
-        push(
-            &mut results,
-            format!("session_replan_delta/N{n}"),
-            n,
-            tiers,
-            rd_mean,
-            rd_min,
-        );
-        speedups.push(json!({
-            "name": format!("session_replan/N{n}"),
-            "serial_ms": rc_min,
-            "parallel_ms": rd_min,
-            "speedup": rc_min / rd_min,
-        }));
     }
 
     // Production-N planning: the bundled (collapsed) configuration

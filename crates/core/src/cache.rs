@@ -16,7 +16,7 @@
 //! write-lock traffic across the build's threads.
 //! [`ModelCache::reduce_tier_times`] stays for [`ModelCache::evaluate`],
 //! whose exhaustive sweeps revisit each entry once per mapper and
-//! coordinator tier, and for the re-plan recost.
+//! coordinator tier.
 //!
 //! ## Cache invariants
 //!

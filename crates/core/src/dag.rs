@@ -112,9 +112,8 @@
 //! sort by tail, newest edge first within a tail, and computes the
 //! topological order ([`kahn_order`]) on the flat arrays. Every solver —
 //! the exact CSP, its plain oracle, Algorithm 1 and the potentials DP —
-//! iterates the store's `time_view`/`cost_view`, and an in-place recost
-//! writes straight into it. A golden-digest test pins the whole build,
-//! answers included, bit for bit.
+//! iterates the store's `time_view`/`cost_view`. A golden-digest test
+//! pins the whole build, answers included, bit for bit.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -396,13 +395,6 @@ impl SoaEdges {
     /// The stored topological order over all nodes.
     pub fn topo(&self) -> &[u32] {
         &self.topo
-    }
-
-    /// Overwrite slot `i`'s metrics in place (an in-place recost; the
-    /// topology never changes).
-    pub(crate) fn set_metrics(&mut self, i: usize, m: EdgeMetrics) {
-        self.times[i] = m.time_s;
-        self.costs[i] = m.cost_nanos;
     }
 
     /// Raw configuration candidates folded into representative edges
@@ -988,11 +980,6 @@ impl PlannerDag {
     /// The flat struct-of-arrays edge store the solvers iterate.
     pub fn soa(&self) -> &SoaEdges {
         &self.soa
-    }
-
-    /// The store, for an in-place recost.
-    pub(crate) fn soa_mut(&mut self) -> &mut SoaEdges {
-        &mut self.soa
     }
 
     /// The store slots of a source-rooted path, found by walking it from

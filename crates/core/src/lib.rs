@@ -35,7 +35,6 @@ pub mod cache;
 pub mod dag;
 pub mod objective;
 pub mod plan;
-pub mod replan;
 pub mod session;
 pub mod solver;
 pub mod space;
@@ -45,7 +44,6 @@ pub use cache::{CacheStats, ModelCache};
 pub use dag::{Choice, EdgeMetrics, PlannerDag, PruneConfig, PruneStats};
 pub use objective::Objective;
 pub use plan::{Plan, PlanSpec, ReduceSpec};
-pub use replan::{EdgeFamily, JobDelta, ReplanOutcome};
 pub use session::PlannerSession;
 pub use solver::{solve_on_dag_with_potentials, PlannerPotentials, Strategy};
 pub use space::ConfigSpace;

@@ -10,6 +10,11 @@
 //! [`PlannerSession`] pays it once and amortizes the backward-potential
 //! sweep with it, so repeated queries run at label-search speed alone
 //! (the `session_sweep_*` bench entries track the resulting speedup).
+//!
+//! A session is immutable once built: new inputs mean a new session.
+//! Re-quoting a revised job is a lookup in the service's session cache,
+//! which hits for an identical (or merely renamed) spec and otherwise
+//! builds one session cold.
 
 use std::collections::BTreeMap;
 
@@ -24,7 +29,6 @@ use crate::cache::ModelCache;
 use crate::dag::{PlannerDag, PruneConfig};
 use crate::objective::Objective;
 use crate::plan::Plan;
-use crate::replan::{JobDelta, RecostPlan, ReplanOutcome};
 use crate::solver::{
     solve_exhaustive_with_telemetry, solve_on_dag_with_potentials, PlannerPotentials, Strategy,
 };
@@ -66,33 +70,11 @@ pub struct PlannerSession {
     catalog: PriceCatalog,
     space: ConfigSpace,
     strategy: Strategy,
-    prune: PruneConfig,
     telemetry: Telemetry,
     dag: PlannerDag,
     potentials: PlannerPotentials,
     /// Solved `(objective, bounds) → answer` memo (see `AnswerMemo`).
     memo: Mutex<AnswerMemo>,
-    /// Lazily captured topology index for the fast recost tier; dropped
-    /// on rebuild (the node/edge layout it indexes is gone).
-    recost: Option<RecostPlan>,
-}
-
-impl Clone for PlannerSession {
-    fn clone(&self) -> Self {
-        PlannerSession {
-            job: self.job.clone(),
-            platform: self.platform.clone(),
-            catalog: self.catalog,
-            space: self.space.clone(),
-            strategy: self.strategy,
-            prune: self.prune,
-            telemetry: self.telemetry.clone(),
-            dag: self.dag.clone(),
-            potentials: self.potentials.clone(),
-            memo: Mutex::new(self.memo.lock().clone()),
-            recost: self.recost.clone(),
-        }
-    }
 }
 
 /// Per-session memo of solved answers, consulted before label search.
@@ -113,7 +95,7 @@ impl Clone for PlannerSession {
 ///
 /// Deadlines key by `f64::to_bits`, whose order matches numeric order
 /// for the non-negative finite values the guards admit.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct AnswerMemo {
     solved_time: BTreeMap<i128, JobConfig>,
     solved_cost: BTreeMap<u64, JobConfig>,
@@ -174,12 +156,10 @@ impl PlannerSession {
             catalog,
             space,
             strategy,
-            prune,
             telemetry,
             dag,
             potentials,
             memo: Mutex::new(AnswerMemo::default()),
-            recost: None,
         }
     }
 
@@ -329,142 +309,6 @@ impl PlannerSession {
         Ok(frontier)
     }
 
-    /// Re-aim the session at new planning inputs, repairing its DAG,
-    /// potentials and answer memo as cheaply as the delta allows (see
-    /// the [`crate::replan`] module docs for the tier taxonomy). The
-    /// resulting session answers every query bit-identically to a cold
-    /// [`PlannerSession::new`] at the new inputs
-    /// (`tests/replan_equivalence.rs` pins this under proptest).
-    pub fn apply_delta(
-        &mut self,
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-    ) -> ReplanOutcome {
-        let delta = JobDelta::classify(
-            &self.job,
-            &self.space,
-            &self.platform,
-            &self.catalog,
-            job,
-            space,
-            platform,
-            catalog,
-        );
-        let outcome = self.apply_classified(&delta, job, platform, catalog, space);
-        self.telemetry.counter(
-            match outcome {
-                ReplanOutcome::Unchanged => "planner.session.replan_unchanged",
-                ReplanOutcome::Patched => "planner.session.replan_patched",
-                ReplanOutcome::Rebuilt => "planner.session.replan_rebuilt",
-            },
-            1,
-        );
-        outcome
-    }
-
-    /// Whether a session holding this delta is re-aimed without a
-    /// rebuild: cosmetic deltas always are, and model-bearing deltas
-    /// are when the fast recost tier applies (effective pruning off, a
-    /// [`JobDelta::fast_patchable`] class, an exact DAG strategy). Even
-    /// then a mapper-coefficient delta that flips a timeout gate falls
-    /// back to a rebuild. Everything else rebuilds, so a caller holding
-    /// a cold-build closure gains nothing from cloning this session.
-    pub fn patches_in_place(&self, delta: &JobDelta) -> bool {
-        delta.is_cosmetic()
-            || (delta.fast_patchable()
-                && self.strategy != Strategy::Exhaustive
-                && !effective_prune(self.prune, self.strategy).pareto_tiers)
-    }
-
-    fn apply_classified(
-        &mut self,
-        delta: &JobDelta,
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-    ) -> ReplanOutcome {
-        if delta.is_cosmetic() {
-            // Renames never reach the model: keep DAG, potentials and
-            // the whole memo.
-            self.job = job.clone();
-            return ReplanOutcome::Unchanged;
-        }
-        if !self.patches_in_place(delta) {
-            // Pruning verdicts, reshapes and exhaustive sessions (whose
-            // DAG accessor must stay truthful) rebuild.
-            return self.rebuild(job, platform, catalog, space);
-        }
-        if self.recost.is_none() {
-            self.recost = RecostPlan::capture(&self.dag, &self.space);
-        }
-        let Some(plan) = self.recost.take() else {
-            return self.rebuild(job, platform, catalog, space);
-        };
-        match plan.patch(&mut self.dag, delta, job, platform, catalog, space) {
-            Some(dirty) => {
-                self.potentials = self.potentials.resume(&self.dag, &dirty);
-                self.set_inputs(job, platform, catalog, space);
-                self.invalidate_memo(delta);
-                // Topology untouched: the capture stays valid.
-                self.recost = Some(plan);
-                ReplanOutcome::Patched
-            }
-            // A feasibility gate flipped: the new shape differs.
-            None => self.rebuild(job, platform, catalog, space),
-        }
-    }
-
-    fn set_inputs(
-        &mut self,
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-    ) {
-        self.job = job.clone();
-        self.platform = platform.clone();
-        self.catalog = *catalog;
-        self.space = space.clone();
-    }
-
-    fn rebuild(
-        &mut self,
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-    ) -> ReplanOutcome {
-        *self = PlannerSession::build(
-            job,
-            platform.clone(),
-            *catalog,
-            space.clone(),
-            self.strategy,
-            self.prune,
-            self.telemetry.clone(),
-        );
-        ReplanOutcome::Rebuilt
-    }
-
-    /// Selectively invalidate the answer memo for a *successfully
-    /// patched* delta (rebuilds reset it wholesale).
-    fn invalidate_memo(&mut self, delta: &JobDelta) {
-        let mut memo = self.memo.lock();
-        if !delta.affects_time() {
-            // Prices-only: achievable completion times are untouched,
-            // so "deadline D is infeasible" still holds — but every
-            // cost-bearing answer may have moved.
-            memo.solved_time.clear();
-            memo.solved_cost.clear();
-            memo.infeasible_below_budget = None;
-        } else {
-            *memo = AnswerMemo::default();
-        }
-    }
-
     /// The job this session plans.
     pub fn job(&self) -> &JobSpec {
         &self.job
@@ -478,12 +322,6 @@ impl PlannerSession {
     /// The price catalog in effect.
     pub fn catalog(&self) -> &PriceCatalog {
         &self.catalog
-    }
-
-    /// The prune configuration the session was requested with (the DAG
-    /// applies `effective_prune` of this and the strategy).
-    pub fn prune(&self) -> PruneConfig {
-        self.prune
     }
 
     /// The configuration space in effect.

@@ -5,8 +5,8 @@
 //! cost under a deadline), plain or guided by [`PlannerPotentials`].
 
 use astra_graph::{
-    constrained_shortest_path, constrained_shortest_path_with_bounds, dag_potentials,
-    dag_potentials_resume, EdgeExpand, EdgeId, Potentials,
+    constrained_shortest_path, constrained_shortest_path_with_bounds, dag_potentials, EdgeExpand,
+    EdgeId,
 };
 use astra_model::{evaluate, JobConfig, JobSpec, Platform};
 use astra_pricing::{Money, PriceCatalog};
@@ -71,24 +71,6 @@ impl PlannerPotentials {
     pub fn compute(dag: &PlannerDag) -> PlannerPotentials {
         let pots = dag_potentials(&mut dag.soa().time_view(), dag.sink().0)
             .expect("planner DAG is acyclic by construction");
-        PlannerPotentials {
-            min_time_to: pots.min_weight_to,
-            min_cost_to: pots.min_resource_to,
-        }
-    }
-
-    /// Repair potentials after an in-place DAG recost, reusing this
-    /// instance's values wherever `dirty_tails` proves they cannot have
-    /// moved (see `dag_potentials_resume` — the result is bit-identical
-    /// to a fresh [`PlannerPotentials::compute`]).
-    pub(crate) fn resume(&self, dag: &PlannerDag, dirty_tails: &[bool]) -> PlannerPotentials {
-        let prev = Potentials {
-            min_weight_to: self.min_time_to.clone(),
-            min_resource_to: self.min_cost_to.clone(),
-        };
-        let pots =
-            dag_potentials_resume(&mut dag.soa().time_view(), dag.sink().0, &prev, dirty_tails)
-                .expect("planner DAG is acyclic by construction");
         PlannerPotentials {
             min_time_to: pots.min_weight_to,
             min_cost_to: pots.min_resource_to,

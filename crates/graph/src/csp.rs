@@ -216,83 +216,6 @@ pub fn dag_potentials<X: EdgeExpand>(g: &mut X, target: u32) -> Option<Potential
     })
 }
 
-/// Repair backward potentials after an in-place edge-weight patch,
-/// reusing `prev` wherever the recomputation provably cannot differ.
-///
-/// `dirty_tails[u]` marks nodes whose *out-edge* weights may have
-/// changed. The sweep walks the same reverse topological order as
-/// [`dag_potentials`]; a node is recomputed when it is a dirty tail
-/// or when any successor's potentials changed, otherwise its previous
-/// values are kept verbatim. Recomputation folds edges in the exact
-/// order of the full DP, so the result is bit-identical to running
-/// [`dag_potentials`] from scratch on the patched graph (marking
-/// every node dirty degenerates to exactly that). Returns `None` on a
-/// cycle or when `prev`'s length does not match the graph.
-pub fn dag_potentials_resume<X: EdgeExpand>(
-    g: &mut X,
-    target: u32,
-    prev: &Potentials,
-    dirty_tails: &[bool],
-) -> Option<Potentials> {
-    let order = g.topo_order()?;
-    let n = g.node_count();
-    if prev.min_weight_to.len() != n || prev.min_resource_to.len() != n || dirty_tails.len() != n {
-        return None;
-    }
-    let mut min_weight_to = prev.min_weight_to.clone();
-    let mut min_resource_to = prev.min_resource_to.clone();
-    // The target's potentials are fixed at zero regardless of history.
-    min_weight_to[target as usize] = 0.0;
-    min_resource_to[target as usize] = 0.0;
-    let mut changed = vec![false; n];
-    let mut num_changed = 0usize;
-    for &u in order.iter().rev() {
-        let ui = u as usize;
-        // A node needs recomputation iff its own out-edge weights may
-        // have moved or a successor's potentials did. Until the sweep
-        // has produced its first changed node, no successor can have
-        // changed, so the out-edge scan is skipped wholesale — for a
-        // dirty set concentrated late in the reverse order (e.g. the
-        // first decision column of a planner DAG) this makes the
-        // resume proportional to the affected region, not the graph.
-        let mut needs = dirty_tails[ui];
-        if !needs && num_changed > 0 {
-            g.for_each_out(u, |_, v, _, _| {
-                needs |= changed[v as usize];
-            });
-        }
-        if !needs {
-            continue;
-        }
-        let mut w_min = f64::INFINITY;
-        let mut r_min = f64::INFINITY;
-        if ui == target as usize {
-            w_min = 0.0;
-            r_min = 0.0;
-        }
-        g.for_each_out(u, |_, v, ew, er| {
-            let w = ew + min_weight_to[v as usize];
-            let r = er + min_resource_to[v as usize];
-            if w < w_min {
-                w_min = w;
-            }
-            if r < r_min {
-                r_min = r;
-            }
-        });
-        let moved = w_min.to_bits() != min_weight_to[ui].to_bits()
-            || r_min.to_bits() != min_resource_to[ui].to_bits();
-        changed[ui] = moved;
-        num_changed += moved as usize;
-        min_weight_to[ui] = w_min;
-        min_resource_to[ui] = r_min;
-    }
-    Some(Potentials {
-        min_weight_to,
-        min_resource_to,
-    })
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Label {
     node: u32,
@@ -686,110 +609,6 @@ mod tests {
         let sol = csp(&g, s, s, 0.0).unwrap();
         assert_eq!(sol.weight, 0.0);
         assert!(sol.edges.is_empty());
-    }
-
-    /// Random layered DAG for the potentials-resume tests: edges only
-    /// go from lower to higher node id, so the graph is acyclic.
-    fn random_dag(rng: &mut StdRng, n: usize) -> G {
-        let mut g: G = DiGraph::new();
-        let ids: Vec<NodeId> = (0..n).map(|_| g.add_node(())).collect();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if rng.random_range(0..3) == 0 {
-                    let w = rng.random_range(1..1000) as f64 / 7.0;
-                    let r = rng.random_range(1..1000) as f64 / 11.0;
-                    g.add_edge(ids[i], ids[j], (w, r));
-                }
-            }
-        }
-        // Guarantee sink reachability from every node.
-        for i in 0..n - 1 {
-            g.add_edge(ids[i], ids[n - 1], (1e6, 1e6));
-        }
-        g
-    }
-
-    /// Resuming with every tail marked dirty degenerates to the full DP.
-    #[test]
-    fn resume_all_dirty_matches_full_dp() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for trial in 0..20 {
-            let n = 4 + (trial % 13);
-            let mut g = random_dag(&mut rng, n);
-            let target = NodeId(n as u32 - 1);
-            let prev = potentials(&g, target).unwrap();
-            // Perturb a handful of edges in place.
-            for e in 0..g.edge_count() {
-                if rng.random_range(0..2) == 0 {
-                    let (w, r) = *g.edge(EdgeId(e as u32));
-                    *g.edge_mut(EdgeId(e as u32)) = (w * 1.5 + 0.25, r * 0.5 + 0.5);
-                }
-            }
-            let dirty = vec![true; n];
-            let resumed = dag_potentials_resume(
-                &mut x(&g),
-                target.0,
-                &prev,
-                &dirty,
-            )
-            .unwrap();
-            let fresh = potentials(&g, target).unwrap();
-            for u in 0..n {
-                assert_eq!(
-                    resumed.min_weight_to[u].to_bits(),
-                    fresh.min_weight_to[u].to_bits()
-                );
-                assert_eq!(
-                    resumed.min_resource_to[u].to_bits(),
-                    fresh.min_resource_to[u].to_bits()
-                );
-            }
-        }
-    }
-
-    /// Marking only the actually-patched tails yields results that are
-    /// bit-identical to a fresh full DP over the patched graph.
-    #[test]
-    fn resume_with_minimal_dirty_set_is_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(42);
-        for trial in 0..40 {
-            let n = 5 + (trial % 11);
-            let mut g = random_dag(&mut rng, n);
-            let target = NodeId(n as u32 - 1);
-            let prev = potentials(&g, target).unwrap();
-            // Patch the out-edges of a random subset of tails.
-            let mut dirty = vec![false; n];
-            for (u, tail_dirty) in dirty.iter_mut().enumerate().take(n - 1) {
-                if rng.random_range(0..3) == 0 {
-                    *tail_dirty = true;
-                    let eids: Vec<EdgeId> = g.out_edges(NodeId(u as u32)).map(|(e, _)| e).collect();
-                    for eid in eids {
-                        let (w, r) = *g.edge(eid);
-                        *g.edge_mut(eid) = (w + 3.5, (r - 0.25).abs());
-                    }
-                }
-            }
-            let resumed = dag_potentials_resume(
-                &mut x(&g),
-                target.0,
-                &prev,
-                &dirty,
-            )
-            .unwrap();
-            let fresh = potentials(&g, target).unwrap();
-            for u in 0..n {
-                assert_eq!(
-                    resumed.min_weight_to[u].to_bits(),
-                    fresh.min_weight_to[u].to_bits(),
-                    "trial {trial} node {u} weight"
-                );
-                assert_eq!(
-                    resumed.min_resource_to[u].to_bits(),
-                    fresh.min_resource_to[u].to_bits(),
-                    "trial {trial} node {u} resource"
-                );
-            }
-        }
     }
 
     /// Regression for the epsilon fix: at ~1e9 metric scale (nano-dollar

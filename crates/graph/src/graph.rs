@@ -108,12 +108,6 @@ impl<N, E> DiGraph<N, E> {
         &self.edges[edge.0 as usize].payload
     }
 
-    /// Mutable payload of `edge`. Topology (endpoints, adjacency) is
-    /// untouched; only the payload can be rewritten in place.
-    pub fn edge_mut(&mut self, edge: EdgeId) -> &mut E {
-        &mut self.edges[edge.0 as usize].payload
-    }
-
     /// Endpoints of `edge` as `(from, to)`.
     pub fn endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
         let e = &self.edges[edge.0 as usize];

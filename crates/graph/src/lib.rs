@@ -21,7 +21,7 @@ pub mod graph;
 
 pub use csp::{
     constrained_shortest_path, constrained_shortest_path_with_bounds, dag_potentials,
-    dag_potentials_resume, ClosureExpand, CspRun, CspSolution, CspStats, EdgeExpand, Potentials,
+    ClosureExpand, CspRun, CspSolution, CspStats, EdgeExpand, Potentials,
 };
 pub use dijkstra::{shortest_path, ShortestPath};
 pub use graph::{kahn_order, DiGraph, EdgeId, NodeId};

@@ -8,51 +8,47 @@
 //! tenants resubmit identical specs with different objectives. Caching
 //! sessions turns all of those into label-search-speed queries.
 //!
-//! The key is a canonical fingerprint of every input that affects the
-//! session ([`SessionKey::for_inputs`]); two jobs share a session only
-//! if they would build bit-identical DAGs, so reuse can never change a
-//! result.
+//! The key is a canonical fingerprint of every input the model reads
+//! ([`SessionKey::for_inputs`]); two jobs share a session only if they
+//! would build bit-identical DAGs, so reuse can never change a result.
+//! Names are labels, not model inputs, so a renamed spec shares its
+//! session.
 //!
-//! The cache lock covers only the lookup and the insert; builds and
-//! patches run outside it, so a hit never waits behind another key's
-//! build and two different keys build concurrently. Lookups are still
-//! single-flight per key: a miss opens (or joins) the key's in-flight
-//! `OnceLock`, and every caller runs `get_or_init` on it with its own
-//! builder. Exactly one builder runs; the others wait for its session
-//! and count as hits. If that builder panics, a waiting caller's builder
-//! runs instead, so a failed build never wedges the key.
+//! The cache lock covers only the lookup and the insert; builds run
+//! outside it, so a hit never waits behind another key's build and two
+//! different keys build concurrently. Lookups are still single-flight
+//! per key: a miss opens (or joins) the key's in-flight `OnceLock`, and
+//! every caller runs `get_or_init` on it with its own builder. Exactly
+//! one builder runs; the others wait for its session and count as hits.
+//! If that builder panics, a waiting caller's builder runs instead, so a
+//! failed build never wedges the key.
 //!
-//! A miss costs at most one DAG build. [`SessionCache::get_or_patch`]
-//! serves a near-miss from a resident session only when
-//! [`PlannerSession::patches_in_place`] says the delta needs no rebuild
-//! — a rename, or a coefficient/price delta on an unpruned DAG. The
-//! cached session is then cloned and repaired via
-//! [`PlannerSession::apply_delta`], which recosts only the affected edge
-//! families and resumes the potential sweep, so such re-quotes run at
-//! interactive latency. Every other near-miss (under the default
-//! pruning, every coefficient delta) goes straight to one cold build.
+//! A re-quote is a lookup like any other: it hits, or it runs exactly
+//! one cold build. Sessions are immutable once built, so nothing is
+//! patched in place.
 //!
-//! Reuse is observable as `service.cache.hits` / `.patched` /
-//! `.misses` / `.evictions` counters and a `service.cache.entries`
-//! gauge.
+//! Reuse is observable as `service.cache.hits` / `.misses` /
+//! `.evictions` counters and a `service.cache.entries` gauge.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use astra_core::{ConfigSpace, JobDelta, PlannerSession, PruneConfig, ReplanOutcome, Strategy};
+use astra_core::{ConfigSpace, PlannerSession, PruneConfig, Strategy};
 use astra_model::{JobSpec, Platform};
 use astra_pricing::PriceCatalog;
 use astra_telemetry::Telemetry;
 
-/// Canonical fingerprint of everything a [`PlannerSession`] depends on.
+/// Canonical fingerprint of everything a [`PlannerSession`]'s answers
+/// depend on.
 ///
 /// Built field by field: floats are fingerprinted by their IEEE-754 bit
-/// pattern (exact — no formatting round-trip), strings are
-/// length-prefixed so a separator inside a job name cannot collide with
-/// field boundaries, and every list is length-prefixed. Two inputs
-/// produce the same key iff every field is bit-identical, which is
-/// exactly the condition under which two sessions are interchangeable.
+/// pattern (exact — no formatting round-trip) and every list is
+/// length-prefixed. Two inputs produce the same key iff every
+/// model-bearing field is bit-identical, which is exactly the condition
+/// under which two sessions are interchangeable. The job, profile and
+/// intermediate-store names are left out: no model term reads them, and
+/// a [`astra_core::Plan`] is only a configuration and its evaluation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SessionKey(String);
 
@@ -62,11 +58,6 @@ struct Fingerprint(String);
 impl Fingerprint {
     fn new() -> Self {
         Fingerprint(String::with_capacity(512))
-    }
-
-    /// Length-prefixed so embedded separators cannot forge boundaries.
-    fn str(&mut self, v: &str) {
-        let _ = write!(self.0, "s{}:{};", v.len(), v);
     }
 
     /// Exact bit pattern: distinguishes `-0.0`/`0.0` and NaN payloads,
@@ -114,7 +105,7 @@ impl Fingerprint {
 }
 
 impl SessionKey {
-    /// Fingerprint the full session input tuple.
+    /// Fingerprint the session input tuple (every field but the names).
     pub fn for_inputs(
         job: &JobSpec,
         space: &ConfigSpace,
@@ -125,11 +116,9 @@ impl SessionKey {
     ) -> Self {
         let mut f = Fingerprint::new();
 
-        // Job: name, inputs, workload profile.
-        f.str(&job.name);
+        // Job: inputs and workload profile.
         f.f64s(&job.object_sizes_mb);
         let p = &job.profile;
-        f.str(&p.name);
         f.f64(p.map_secs_per_mb_128);
         f.f64(p.reduce_secs_per_mb_128);
         f.f64(p.coord_secs_per_mb_128);
@@ -165,7 +154,6 @@ impl SessionKey {
             None => f.bool(false),
             Some(store) => {
                 f.bool(true);
-                f.str(&store.name);
                 f.f64(store.get_latency_s);
                 f.f64(store.put_latency_s);
                 f.f64(store.bandwidth_mbps);
@@ -208,8 +196,9 @@ impl SessionKey {
 pub struct SessionCacheStats {
     /// Lookups answered by an existing session.
     pub hits: u64,
-    /// Near-miss lookups answered by cloning a cached session and
-    /// patching it with the delta instead of cold-building.
+    /// Always 0: sessions are never patched in place, so every lookup
+    /// is a hit or a miss. Kept so readers of the statistics still
+    /// compile.
     pub patched: u64,
     /// Lookups that had to build a session.
     pub misses: u64,
@@ -220,10 +209,9 @@ pub struct SessionCacheStats {
 }
 
 impl SessionCacheStats {
-    /// Hits over total lookups — hits, patches and misses (0 when no
-    /// lookups yet).
+    /// Hits over total lookups (0 when no lookups yet).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.patched + self.misses;
+        let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
@@ -246,11 +234,10 @@ type Pending = Arc<OnceLock<Arc<PlannerSession>>>;
 
 struct CacheState {
     entries: HashMap<SessionKey, Entry>,
-    /// Keys whose session is being built or patched outside the lock.
+    /// Keys whose session is being built outside the lock.
     in_flight: HashMap<SessionKey, Pending>,
     clock: u64,
     hits: u64,
-    patched: u64,
     misses: u64,
     evictions: u64,
 }
@@ -298,11 +285,7 @@ pub enum CacheLookup {
     /// Exact fingerprint match — the cached session was returned as-is
     /// (or another caller's in-flight build of the same key was awaited).
     Hit,
-    /// A cached session for different inputs was cloned and patched in
-    /// place via [`PlannerSession::apply_delta`] (cheaper than a cold
-    /// build for coefficient/price deltas).
-    Patched,
-    /// No usable entry: a session was cold-built.
+    /// No resident session for the key: one was cold-built.
     Miss,
 }
 
@@ -325,7 +308,6 @@ impl SessionCache {
                 in_flight: HashMap::new(),
                 clock: 0,
                 hits: 0,
-                patched: 0,
                 misses: 0,
                 evictions: 0,
             })),
@@ -340,35 +322,16 @@ impl SessionCache {
     }
 
     /// Fetch the session for `key`, building it with `build` on a miss.
-    /// The build runs outside the cache lock; concurrent misses on the
-    /// same key share one build (see the module docs).
-    pub fn get_or_build(
-        &self,
-        key: SessionKey,
-        build: impl FnOnce() -> PlannerSession,
-    ) -> (Arc<PlannerSession>, bool) {
-        let (session, lookup) = self.lookup(key, |_| None, |_| (build(), CacheLookup::Miss));
-        (session, lookup == CacheLookup::Hit)
-    }
-
-    /// Fetch the session for `key`, revalidating a near-miss before
-    /// falling back to a cold build.
     ///
-    /// On an exact fingerprint hit this is [`SessionCache::get_or_build`].
-    /// On a miss, every resident session with the same solver knobs is
-    /// classified against the new inputs with [`JobDelta::classify`]; if
-    /// one would serve the delta without a rebuild
-    /// ([`PlannerSession::patches_in_place`]: renames, and coefficient or
-    /// price deltas on an unpruned DAG), the most recently used such
-    /// donor is cloned and patched via [`PlannerSession::apply_delta`],
-    /// which is far cheaper than rebuilding the Fig. 5 DAG and is
-    /// proptest-pinned to answer bit-identically to a cold build.
-    /// Otherwise — including every coefficient delta under the default
-    /// pruning — `build` runs once, with no donor cloned.
+    /// A hit returns under the cache lock. A miss joins or opens the
+    /// key's in-flight slot and runs `build` outside the lock; the
+    /// caller whose `build` ran inserts the session and counts the miss,
+    /// and callers that awaited it count a hit (see the module docs).
     ///
-    /// The patched session is inserted under `key`; the donor entry is
-    /// left untouched, so a tenant alternating between two specs keeps
-    /// both resident.
+    /// The input tuple must be the one `key` was made from
+    /// ([`SessionKey::for_inputs`]); it is checked in debug builds only.
+    /// Despite the name, nothing is patched: a session is immutable, so
+    /// a revised spec is one cold build.
     #[allow(clippy::too_many_arguments)] // the full session-input tuple, flattened
     pub fn get_or_patch(
         &self,
@@ -381,61 +344,11 @@ impl SessionCache {
         prune: PruneConfig,
         build: impl FnOnce() -> PlannerSession,
     ) -> (Arc<PlannerSession>, CacheLookup) {
-        // Near-miss scan: most recently used donor that patches in place
-        // for this delta. `touched` stamps are unique, so the choice is
-        // deterministic.
-        let find_donor = |state: &CacheState| {
-            state
-                .entries
-                .values()
-                .filter(|e| {
-                    let s = &e.session;
-                    s.strategy() == strategy
-                        && s.prune() == prune
-                        && s.patches_in_place(&JobDelta::classify(
-                            s.job(),
-                            s.space(),
-                            s.platform(),
-                            s.catalog(),
-                            job,
-                            space,
-                            platform,
-                            catalog,
-                        ))
-                })
-                .max_by_key(|e| e.touched)
-                .map(|e| Arc::clone(&e.session))
-        };
-        self.lookup(key, find_donor, |donor| match donor {
-            Some(donor) => {
-                let mut patched = (*donor).clone();
-                let outcome = patched.apply_delta(job, platform, catalog, space);
-                // A mapper-coefficient patch that flips a timeout gate
-                // rebuilds: still exact, but it paid the full build
-                // price, so it counts as a miss.
-                let lookup = if outcome == ReplanOutcome::Rebuilt {
-                    CacheLookup::Miss
-                } else {
-                    CacheLookup::Patched
-                };
-                (patched, lookup)
-            }
-            None => (build(), CacheLookup::Miss),
-        })
-    }
-
-    /// The shared lookup: a hit returns under the lock. A miss picks a
-    /// donor (under the lock), joins or opens the key's in-flight slot,
-    /// and runs `make` outside the lock; the caller whose `make` ran
-    /// inserts the session and counts the miss or patch, and callers
-    /// that awaited it count a hit.
-    fn lookup(
-        &self,
-        key: SessionKey,
-        find_donor: impl FnOnce(&CacheState) -> Option<Arc<PlannerSession>>,
-        make: impl FnOnce(Option<Arc<PlannerSession>>) -> (PlannerSession, CacheLookup),
-    ) -> (Arc<PlannerSession>, CacheLookup) {
-        let (pending, donor) = {
+        debug_assert!(
+            key == SessionKey::for_inputs(job, space, platform, catalog, strategy, prune),
+            "session key does not match its inputs"
+        );
+        let pending = {
             let mut state = self.state.lock().unwrap();
             let stamp = state.tick();
             if let Some(entry) = state.entries.get_mut(&key) {
@@ -445,39 +358,32 @@ impl SessionCache {
                 self.telemetry.counter("service.cache.hits", 1);
                 return (session, CacheLookup::Hit);
             }
-            let donor = find_donor(&state);
-            let pending = Arc::clone(state.in_flight.entry(key.clone()).or_default());
-            (pending, donor)
+            Arc::clone(state.in_flight.entry(key.clone()).or_default())
         };
 
-        let mut made = None;
+        let mut built = false;
         let session = Arc::clone(pending.get_or_init(|| {
-            let (session, lookup) = make(donor);
-            made = Some(lookup);
-            Arc::new(session)
+            let session = Arc::new(build());
+            built = true;
+            session
         }));
 
         let mut state = self.state.lock().unwrap();
-        let Some(lookup) = made else {
+        if !built {
             // Another caller built it while this one waited.
             state.hits += 1;
             self.telemetry.counter("service.cache.hits", 1);
             return (session, CacheLookup::Hit);
-        };
+        }
         // Only the slot's successful builder retires it; a builder that
         // panicked leaves it for the next caller of this key.
         state.in_flight.remove(&key);
-        if lookup == CacheLookup::Patched {
-            state.patched += 1;
-            self.telemetry.counter("service.cache.patched", 1);
-        } else {
-            state.misses += 1;
-            self.telemetry.counter("service.cache.misses", 1);
-        }
+        state.misses += 1;
+        self.telemetry.counter("service.cache.misses", 1);
         state.insert(key, &session, self.capacity, &self.telemetry);
         self.telemetry
             .gauge("service.cache.entries", state.entries.len() as f64);
-        (session, lookup)
+        (session, CacheLookup::Miss)
     }
 
     /// Current statistics.
@@ -485,7 +391,7 @@ impl SessionCache {
         let state = self.state.lock().unwrap();
         SessionCacheStats {
             hits: state.hits,
-            patched: state.patched,
+            patched: 0,
             misses: state.misses,
             evictions: state.evictions,
             entries: state.entries.len(),
@@ -496,7 +402,6 @@ impl SessionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use astra_core::Objective;
     use astra_model::WorkloadProfile;
     use astra_pricing::Money;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -519,6 +424,26 @@ mod tests {
         )
     }
 
+    /// One lookup of `job`'s session under the test tuple; `true` on a hit.
+    fn get_or_build(
+        cache: &SessionCache,
+        job: &JobSpec,
+        platform: &Platform,
+        build: impl FnOnce() -> PlannerSession,
+    ) -> (Arc<PlannerSession>, bool) {
+        let (session, lookup) = cache.get_or_patch(
+            key_for(job, platform),
+            job,
+            &ConfigSpace::with_tiers(job, platform, &[128, 512]),
+            platform,
+            &PriceCatalog::aws_2020(),
+            Strategy::ExactCsp,
+            PruneConfig::default(),
+            build,
+        );
+        (session, lookup == CacheLookup::Hit)
+    }
+
     fn session_for(job: &JobSpec, platform: &Platform) -> PlannerSession {
         PlannerSession::new(
             job,
@@ -536,16 +461,37 @@ mod tests {
         let platform = Platform::aws_lambda();
         let (a, b) = (job(4), job(5));
 
-        let (_, hit) = cache.get_or_build(key_for(&a, &platform), || session_for(&a, &platform));
+        let (_, hit) = get_or_build(&cache, &a, &platform, || session_for(&a, &platform));
         assert!(!hit);
-        let (_, hit) = cache.get_or_build(key_for(&a, &platform), || session_for(&a, &platform));
+        let (_, hit) = get_or_build(&cache, &a, &platform, || session_for(&a, &platform));
         assert!(hit);
-        let (_, hit) = cache.get_or_build(key_for(&b, &platform), || session_for(&b, &platform));
+        let (_, hit) = get_or_build(&cache, &b, &platform, || session_for(&b, &platform));
         assert!(!hit);
 
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+
+        // A renamed spec hits without building.
+        let mut renamed = a.clone();
+        renamed.name.push_str("-renamed");
+        let (_, hit) = get_or_build(&cache, &renamed, &platform, || panic!("a rename must hit"));
+        assert!(hit);
+
+        // A revised spec runs its own build exactly once, then hits.
+        let mut revised = a.clone();
+        revised.profile.map_secs_per_mb_128 *= 1.25;
+        let builds = std::cell::Cell::new(0);
+        for expect_hit in [false, true] {
+            let (_, hit) = get_or_build(&cache, &revised, &platform, || {
+                builds.set(builds.get() + 1);
+                session_for(&revised, &platform)
+            });
+            assert_eq!(hit, expect_hit);
+        }
+        assert_eq!(builds.get(), 1, "the revised spec must build once");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.patched, stats.misses), (3, 0, 3));
     }
 
     #[test]
@@ -554,8 +500,8 @@ mod tests {
         let j = job(4);
         let lambda = Platform::aws_lambda();
         let literal = Platform::paper_literal(10.0);
-        cache.get_or_build(key_for(&j, &lambda), || session_for(&j, &lambda));
-        let (_, hit) = cache.get_or_build(key_for(&j, &literal), || session_for(&j, &literal));
+        get_or_build(&cache, &j, &lambda, || session_for(&j, &lambda));
+        let (_, hit) = get_or_build(&cache, &j, &literal, || session_for(&j, &literal));
         assert!(!hit, "different platforms must not share a session");
     }
 
@@ -565,242 +511,144 @@ mod tests {
         let platform = Platform::aws_lambda();
         let (a, b, c) = (job(3), job(4), job(5));
 
-        cache.get_or_build(key_for(&a, &platform), || session_for(&a, &platform));
-        cache.get_or_build(key_for(&b, &platform), || session_for(&b, &platform));
+        get_or_build(&cache, &a, &platform, || session_for(&a, &platform));
+        get_or_build(&cache, &b, &platform, || session_for(&b, &platform));
         // Touch `a` so `b` becomes the LRU victim.
-        let (_, hit) = cache.get_or_build(key_for(&a, &platform), || session_for(&a, &platform));
+        let (_, hit) = get_or_build(&cache, &a, &platform, || session_for(&a, &platform));
         assert!(hit);
-        cache.get_or_build(key_for(&c, &platform), || session_for(&c, &platform));
+        get_or_build(&cache, &c, &platform, || session_for(&c, &platform));
 
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 2);
-        let (_, hit) = cache.get_or_build(key_for(&a, &platform), || session_for(&a, &platform));
+        let (_, hit) = get_or_build(&cache, &a, &platform, || session_for(&a, &platform));
         assert!(hit, "recently touched entry must survive eviction");
-        let (_, hit) = cache.get_or_build(key_for(&b, &platform), || session_for(&b, &platform));
+        let (_, hit) = get_or_build(&cache, &b, &platform, || session_for(&b, &platform));
         assert!(!hit, "LRU entry must have been evicted");
     }
 
     #[test]
     fn fingerprint_distinguishes_every_field_class() {
-        let platform = Platform::aws_lambda();
+        let platform = Platform::aws_lambda().with_elasticache();
         let j = job(4);
-        let base = key_for(&j, &platform);
+        let catalog = PriceCatalog::aws_2020();
+        let key = |job: &JobSpec, platform: &Platform, catalog: &PriceCatalog| {
+            SessionKey::for_inputs(
+                job,
+                &ConfigSpace::with_tiers(job, platform, &[128, 512]),
+                platform,
+                catalog,
+                Strategy::ExactCsp,
+                PruneConfig::default(),
+            )
+        };
+        let base = key(&j, &platform, &catalog);
 
         // Same inputs → same key.
-        assert_eq!(base, key_for(&j, &platform));
+        assert_eq!(base, key(&j, &platform, &catalog));
 
-        // A job name that tries to forge the field separator still gets
-        // its own key (length-prefixing defeats injection).
+        // Labels are not model inputs: renamed inputs share the key.
         let mut renamed = j.clone();
         renamed.name = format!("{};f0000000000000000;", j.name);
-        assert_ne!(base, key_for(&renamed, &platform));
+        renamed.profile.name.push_str("-v2");
+        let mut relabeled = platform.clone();
+        relabeled.intermediate.as_mut().unwrap().name = "redis".to_string();
+        assert_eq!(base, key(&renamed, &relabeled, &catalog));
 
-        // Coefficient, price, platform and knob changes all move the key.
-        let mut coeff = j.clone();
-        coeff.profile.map_secs_per_mb_128 *= 1.5;
-        assert_ne!(base, key_for(&coeff, &platform));
-
-        let mut bumped = platform.clone();
-        bumped.timeout_s += 1.0;
-        assert_ne!(base, key_for(&j, &bumped));
-
-        let space = ConfigSpace::with_tiers(&j, &platform, &[128, 512]);
-        let mut catalog = PriceCatalog::aws_2020();
-        catalog.lambda.per_gb_second = catalog.lambda.per_gb_second.scale(2.0);
-        assert_ne!(
-            base,
-            SessionKey::for_inputs(
-                &j,
-                &space,
-                &platform,
-                &catalog,
-                Strategy::ExactCsp,
-                PruneConfig::default(),
-            )
-        );
-        let catalog = PriceCatalog::aws_2020();
-        assert_ne!(
-            base,
-            SessionKey::for_inputs(
-                &j,
-                &space,
-                &platform,
-                &catalog,
-                Strategy::Algorithm1,
-                PruneConfig::default(),
-            )
-        );
-        assert_ne!(
-            base,
-            SessionKey::for_inputs(
-                &j,
-                &space,
-                &platform,
-                &catalog,
-                Strategy::ExactCsp,
-                PruneConfig::off(),
-            )
-        );
-    }
-
-    fn patch_lookup(
-        cache: &SessionCache,
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        prune: PruneConfig,
-    ) -> (Arc<PlannerSession>, CacheLookup) {
-        let space = ConfigSpace::with_tiers(job, platform, &[128, 512]);
-        let key = SessionKey::for_inputs(job, &space, platform, catalog, Strategy::ExactCsp, prune);
-        cache.get_or_patch(
-            key,
-            job,
-            &space,
-            platform,
-            catalog,
-            Strategy::ExactCsp,
-            prune,
-            || {
-                PlannerSession::new(
-                    job,
-                    platform.clone(),
-                    *catalog,
-                    space.clone(),
-                    Strategy::ExactCsp,
-                    prune,
-                )
-            },
-        )
-    }
-
-    #[test]
-    fn near_miss_patches_instead_of_building() {
-        let cache = SessionCache::new(4, Telemetry::disabled());
-        let platform = Platform::aws_lambda();
-        let catalog = PriceCatalog::aws_2020();
-        let j = job(4);
-        // Pruning off keeps the DAG shape insensitive to coefficient
-        // tweaks, so the near-miss is served by the fast recost tier.
-        let prune = PruneConfig::off();
-
-        let (_, lookup) = patch_lookup(&cache, &j, &platform, &catalog, prune);
-        assert_eq!(lookup, CacheLookup::Miss);
-        let (_, lookup) = patch_lookup(&cache, &j, &platform, &catalog, prune);
-        assert_eq!(lookup, CacheLookup::Hit);
-
-        // Coefficient tweak: patchable, must be served by clone-and-patch.
-        let mut tweaked = j.clone();
-        tweaked.profile.map_secs_per_mb_128 *= 1.25;
-        let (patched, lookup) = patch_lookup(&cache, &tweaked, &platform, &catalog, prune);
-        assert_eq!(lookup, CacheLookup::Patched);
-
-        // The patched session must answer exactly like a cold build.
-        let space = ConfigSpace::with_tiers(&tweaked, &platform, &[128, 512]);
-        let cold = PlannerSession::new(
-            &tweaked,
-            platform.clone(),
-            catalog,
-            space,
-            Strategy::ExactCsp,
-            prune,
-        );
-        for objective in [
-            Objective::MinimizeCost { deadline_s: 1e6 },
-            Objective::MinimizeCost { deadline_s: 120.0 },
-            Objective::MinimizeTime {
-                budget: Money::from_dollars(1_000),
-            },
-        ] {
-            assert_eq!(patched.solve(objective), cold.solve(objective));
+        // Every model-bearing field moves the key, and no two moves
+        // collide.
+        type Edit<T> = (&'static str, fn(&mut T));
+        fn edited<T: Clone>(base: &T, edit: fn(&mut T)) -> T {
+            let mut t = base.clone();
+            edit(&mut t);
+            t
         }
-
-        // The patched entry is now resident under its own key.
-        let (_, lookup) = patch_lookup(&cache, &tweaked, &platform, &catalog, prune);
-        assert_eq!(lookup, CacheLookup::Hit);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.patched, stats.misses), (2, 1, 1));
-    }
-
-    #[test]
-    fn shape_change_still_cold_builds() {
-        let cache = SessionCache::new(4, Telemetry::disabled());
-        let platform = Platform::aws_lambda();
-        let catalog = PriceCatalog::aws_2020();
-        let prune = PruneConfig::off();
-
-        let (_, lookup) = patch_lookup(&cache, &job(4), &platform, &catalog, prune);
-        assert_eq!(lookup, CacheLookup::Miss);
-        // Different object count reshapes the DAG: not patchable.
-        let (_, lookup) = patch_lookup(&cache, &job(6), &platform, &catalog, prune);
-        assert_eq!(lookup, CacheLookup::Miss);
-        assert_eq!(cache.stats().patched, 0);
-    }
-
-    #[test]
-    fn hit_rate_counts_patched_lookups() {
-        let stats = SessionCacheStats {
-            hits: 2,
-            patched: 1,
-            misses: 1,
-            ..SessionCacheStats::default()
+        fn bump(m: &mut Money) {
+            *m = Money::from_nanos(m.nanos() + 1);
+        }
+        fn store(p: &mut Platform) -> &mut astra_model::IntermediateStorage {
+            p.intermediate.as_mut().unwrap()
+        }
+        let mut keys = vec![("base", base)];
+        let jobs: Vec<Edit<JobSpec>> = vec![
+            ("object size", |j| j.object_sizes_mb[0] += 0.5),
+            ("object count", |j| j.object_sizes_mb.push(1.0)),
+            ("map coeff", |j| j.profile.map_secs_per_mb_128 += 0.01),
+            ("reduce coeff", |j| j.profile.reduce_secs_per_mb_128 += 0.01),
+            ("coord coeff", |j| j.profile.coord_secs_per_mb_128 += 0.01),
+            ("shuffle ratio", |j| j.profile.shuffle_ratio += 0.1),
+            ("reduce ratio", |j| j.profile.reduce_ratio += 0.1),
+            ("state object", |j| j.profile.state_object_mb += 1.0),
+            ("single pass", |j| j.profile.single_pass_reduce ^= true),
+        ];
+        for (name, edit) in jobs {
+            keys.push((name, key(&edited(&j, edit), &platform, &catalog)));
+        }
+        let platforms: Vec<Edit<Platform>> = vec![
+            ("memory tiers", |p| p.memory_tiers_mb.push(4096)),
+            ("cpu ceiling", |p| p.cpu_ceiling_mb += 1),
+            ("concurrency", |p| p.max_concurrency += 1),
+            ("timeout", |p| p.timeout_s += 1.0),
+            ("max storage", |p| p.max_storage_mb += 1.0),
+            ("cold start", |p| p.cold_start_s += 0.5),
+            ("bandwidth", |p| p.transfer.bandwidth_mbps += 1.0),
+            ("get latency", |p| p.transfer.get_latency_s += 0.01),
+            ("put latency", |p| p.transfer.put_latency_s += 0.01),
+            ("efficiency", |p| p.efficiency_at_min += 0.01),
+            ("efficiency full", |p| p.efficiency_full_mb += 1),
+            ("bandwidth exponent", |p| p.bandwidth_exponent += 0.1),
+            ("max bandwidth", |p| p.max_bandwidth_mbps += 1.0),
+            ("orchestration", |p| p.orchestration_overhead_s += 0.1),
+            ("invoke call", |p| p.invoke_call_s += 0.1),
+            ("no store", |p| p.intermediate = None),
+            ("store get", |p| store(p).get_latency_s += 0.01),
+            ("store put", |p| store(p).put_latency_s += 0.01),
+            ("store bandwidth", |p| store(p).bandwidth_mbps += 1.0),
+            ("store get price", |p| bump(&mut store(p).per_get)),
+            ("store put price", |p| bump(&mut store(p).per_put)),
+            ("store storage", |p| store(p).storage_gb_month_dollars += 0.01),
+            ("store rental", |p| bump(&mut store(p).rental_per_hour)),
+        ];
+        for (name, edit) in platforms {
+            keys.push((name, key(&j, &edited(&platform, edit), &catalog)));
+        }
+        let catalogs: Vec<Edit<PriceCatalog>> = vec![
+            ("per invocation", |c| bump(&mut c.lambda.per_invocation)),
+            ("per gb-second", |c| bump(&mut c.lambda.per_gb_second)),
+            ("granularity", |c| c.lambda.billing_granularity_us += 1),
+            ("s3 put", |c| bump(&mut c.s3.per_put)),
+            ("s3 get", |c| bump(&mut c.s3.per_get)),
+            ("s3 storage", |c| c.s3.gb_month_dollars += 0.01),
+            ("emr", |c| bump(&mut c.vm.emr_per_hour)),
+            ("vm minimum", |c| c.vm.min_billed_us += 1),
+        ];
+        for (name, edit) in catalogs {
+            keys.push((name, key(&j, &platform, &edited(&catalog, edit))));
+        }
+        let space = ConfigSpace::with_tiers(&j, &platform, &[128, 512]);
+        let knobs = |strategy, prune| {
+            SessionKey::for_inputs(&j, &space, &platform, &catalog, strategy, prune)
         };
-        assert_eq!(stats.hit_rate(), 0.5);
-        assert_eq!(SessionCacheStats::default().hit_rate(), 0.0);
+        let other = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
+        keys.push((
+            "space",
+            SessionKey::for_inputs(
+                &j,
+                &other,
+                &platform,
+                &catalog,
+                Strategy::ExactCsp,
+                PruneConfig::default(),
+            ),
+        ));
+        keys.push(("algorithm 1", knobs(Strategy::Algorithm1, PruneConfig::default())));
+        keys.push(("exhaustive", knobs(Strategy::Exhaustive, PruneConfig::default())));
+        keys.push(("prune off", knobs(Strategy::ExactCsp, PruneConfig::off())));
 
-        // The same split produced by real lookups.
-        let cache = SessionCache::new(4, Telemetry::disabled());
-        let platform = Platform::aws_lambda();
-        let catalog = PriceCatalog::aws_2020();
-        let prune = PruneConfig::off();
-        let j = job(4);
-        let mut tweaked = j.clone();
-        tweaked.profile.map_secs_per_mb_128 *= 1.25;
-        patch_lookup(&cache, &j, &platform, &catalog, prune);
-        patch_lookup(&cache, &j, &platform, &catalog, prune);
-        patch_lookup(&cache, &tweaked, &platform, &catalog, prune);
-        patch_lookup(&cache, &tweaked, &platform, &catalog, prune);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.patched, stats.misses), (2, 1, 1));
-        assert_eq!(stats.hit_rate(), 0.5);
-    }
-
-    #[test]
-    fn pruned_near_miss_builds_once_without_a_donor() {
-        let platform = Platform::aws_lambda();
-        let catalog = PriceCatalog::aws_2020();
-        let j = job(4);
-        let mut tweaked = j.clone();
-        tweaked.profile.map_secs_per_mb_128 *= 1.25;
-
-        // Pruned: the coefficient delta can move a pruning verdict, so
-        // the near-miss is one cold build through the caller's closure.
-        let cache = SessionCache::new(4, Telemetry::disabled());
-        patch_lookup(&cache, &j, &platform, &catalog, PruneConfig::on());
-        let space = ConfigSpace::with_tiers(&tweaked, &platform, &[128, 512]);
-        let builds = std::cell::Cell::new(0);
-        let (_, lookup) = cache.get_or_patch(
-            key_for(&tweaked, &platform),
-            &tweaked,
-            &space,
-            &platform,
-            &catalog,
-            Strategy::ExactCsp,
-            PruneConfig::on(),
-            || {
-                builds.set(builds.get() + 1);
-                session_for(&tweaked, &platform)
-            },
-        );
-        assert_eq!(lookup, CacheLookup::Miss);
-        assert_eq!(builds.get(), 1, "the near-miss must run its own build once");
-        let stats = cache.stats();
-        assert_eq!((stats.patched, stats.misses), (0, 2));
-
-        // Unpruned: the same delta is still served by clone-and-patch.
-        let cache = SessionCache::new(4, Telemetry::disabled());
-        patch_lookup(&cache, &j, &platform, &catalog, PruneConfig::off());
-        let (_, lookup) = patch_lookup(&cache, &tweaked, &platform, &catalog, PruneConfig::off());
-        assert_eq!(lookup, CacheLookup::Patched);
+        for (a, (name_a, key_a)) in keys.iter().enumerate() {
+            for (name_b, key_b) in &keys[a + 1..] {
+                assert_ne!(key_a, key_b, "{name_a} and {name_b} share a key");
+            }
+        }
     }
 
     /// Run `f` on a thread and wait at most 30 s for its result, so a
@@ -819,14 +667,14 @@ mod tests {
         let cache = SessionCache::new(4, Telemetry::disabled());
         let platform = Platform::aws_lambda();
         let (a, b) = (job(4), job(5));
-        cache.get_or_build(key_for(&a, &platform), || session_for(&a, &platform));
+        get_or_build(&cache, &a, &platform, || session_for(&a, &platform));
 
         let (started_tx, started_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let builder = {
             let (cache, platform, b) = (cache.clone(), platform.clone(), b.clone());
             thread::spawn(move || {
-                cache.get_or_build(key_for(&b, &platform), || {
+                get_or_build(&cache, &b, &platform, || {
                     started_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     session_for(&b, &platform)
@@ -839,8 +687,7 @@ mod tests {
         let hit = {
             let (cache, platform) = (cache.clone(), platform.clone());
             within_deadline(move || {
-                cache
-                    .get_or_build(key_for(&a, &platform), || panic!("A is resident"))
+                get_or_build(&cache, &a, &platform, || panic!("A is resident"))
                     .1
             })
         };
@@ -866,7 +713,7 @@ mod tests {
             let (cache, platform, j, builds) =
                 (cache.clone(), platform.clone(), j.clone(), Arc::clone(&builds));
             thread::spawn(move || {
-                cache.get_or_build(key_for(&j, &platform), || {
+                get_or_build(&cache, &j, &platform, || {
                     builds.fetch_add(1, Ordering::SeqCst);
                     started_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
@@ -879,7 +726,7 @@ mod tests {
             let (cache, platform, j, builds) =
                 (cache.clone(), platform.clone(), j.clone(), Arc::clone(&builds));
             thread::spawn(move || {
-                cache.get_or_build(key_for(&j, &platform), || {
+                get_or_build(&cache, &j, &platform, || {
                     builds.fetch_add(1, Ordering::SeqCst);
                     session_for(&j, &platform)
                 })
@@ -909,7 +756,7 @@ mod tests {
         let doomed = {
             let (cache, platform, j) = (cache.clone(), platform.clone(), j.clone());
             thread::spawn(move || {
-                cache.get_or_build(key_for(&j, &platform), || {
+                get_or_build(&cache, &j, &platform, || {
                     started_tx.send(()).unwrap();
                     release_rx.recv().unwrap();
                     panic!("injected build failure");
@@ -921,7 +768,7 @@ mod tests {
             let (cache, platform, j) = (cache.clone(), platform.clone(), j.clone());
             thread::spawn(move || {
                 within_deadline(move || {
-                    cache.get_or_build(key_for(&j, &platform), || session_for(&j, &platform))
+                    get_or_build(&cache, &j, &platform, || session_for(&j, &platform))
                 })
             })
         };
@@ -934,7 +781,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 1, 1));
         // The key is healthy afterwards.
-        let (_, hit) = cache.get_or_build(key_for(&j, &platform), || session_for(&j, &platform));
+        let (_, hit) = get_or_build(&cache, &j, &platform, || session_for(&j, &platform));
         assert!(hit);
     }
 
@@ -944,7 +791,7 @@ mod tests {
         let platform = Platform::aws_lambda();
         let j = job(4);
         for _ in 0..3 {
-            let (_, hit) = cache.get_or_build(key_for(&j, &platform), || session_for(&j, &platform));
+            let (_, hit) = get_or_build(&cache, &j, &platform, || session_for(&j, &platform));
             assert!(!hit);
         }
         let stats = cache.stats();

@@ -328,9 +328,9 @@ impl Inner {
         (space, key)
     }
 
-    /// Fetch or create the session for `job` through the shared cache,
-    /// revalidating near-misses: a resident session that patches the
-    /// delta in place is cloned and patched instead of cold-built (see
+    /// Fetch or create the session for `job` through the shared cache:
+    /// a resident session for the same model inputs (a renamed spec
+    /// included) is a hit, anything else one cold build (see
     /// [`SessionCache::get_or_patch`]).
     fn session_cached(
         &self,
@@ -754,13 +754,11 @@ impl ServiceHandle {
 
     /// Resubmit a prior job, optionally with a revised request — the
     /// interactive re-quote path. Returns `None` when `prior` was never
-    /// issued by this daemon; otherwise the new job id (the new job is
-    /// planned through the session cache, so a revised spec the prior
-    /// session can absorb without a rebuild — a rename, or with pruning
-    /// off a tweaked mapper coefficient or new prices — is served by
-    /// clone-and-patch instead of a cold DAG build). When `revised` is
-    /// `None` the prior request is replayed verbatim (typically an exact
-    /// cache hit).
+    /// issued by this daemon; otherwise the new job id. The new job is
+    /// an ordinary submission: its session is one cache lookup, which
+    /// hits when the spec's model inputs are unchanged (a verbatim
+    /// replay, or a rename) and otherwise builds one session cold.
+    /// When `revised` is `None` the prior request is replayed verbatim.
     pub fn resubmit(&self, prior: JobId, revised: Option<JobRequest>) -> Option<JobId> {
         let prior_request = {
             let table = self.inner.table.lock().unwrap();
@@ -817,7 +815,7 @@ impl ServiceHandle {
         self.inner.jobs_sorted()
     }
 
-    /// Session-cache statistics (hits / patched / misses / evictions /
+    /// Session-cache statistics (hits / misses / evictions /
     /// residency).
     pub fn cache_stats(&self) -> SessionCacheStats {
         self.inner.cache.stats()
@@ -950,12 +948,7 @@ mod tests {
 
     #[test]
     fn resubmit_replays_and_patches_through_the_cache() {
-        let daemon = ServiceDaemon::start(ServiceConfig {
-            // Pruning off keeps the DAG shape insensitive to coefficient
-            // tweaks, so the revised resubmit exercises clone-and-patch.
-            prune: PruneConfig::off(),
-            ..small_config()
-        });
+        let daemon = ServiceDaemon::start(small_config());
         let handle = daemon.handle();
 
         let id = handle.submit(request(4));
@@ -970,16 +963,21 @@ mod tests {
         assert_eq!(snap.request.job, request(4).job);
         assert!(snap.session_cache_hit);
 
-        // Revised resubmit differing only by a mapper coefficient: the
-        // cached session is cloned and patched, not cold-built.
+        // Revised resubmit differing only by a mapper coefficient: one
+        // cold build, whose plan matches a cold daemon's.
         let mut revised = request(4);
         revised.job.profile.map_secs_per_mb_128 *= 1.3;
         let requote = handle.resubmit(id, Some(revised.clone())).unwrap();
         let snap = handle.await_done(requote).unwrap();
         assert_eq!(snap.status, JobStatus::Done);
         assert_eq!(snap.request.job, revised.job);
-        let stats = handle.cache_stats();
-        assert!(stats.patched >= 1, "stats: {stats:?}");
+        let cold = ServiceDaemon::start(small_config());
+        let cold_handle = cold.handle();
+        let cold_id = cold_handle.submit(revised);
+        let cold_snap = cold_handle.await_done(cold_id).unwrap();
+        assert_eq!(snap.plan, cold_snap.plan);
+        assert_eq!(snap.sim, cold_snap.sim);
+        cold.shutdown();
 
         // A prior id the daemon never issued is a lookup miss.
         assert!(handle.resubmit(99_999, None).is_none());

@@ -25,10 +25,11 @@
 //!
 //! # Record kinds
 //!
-//! * `{"rec":"submitted","id":…,"at_ns":…,"tenant":…,"fingerprint":…,
-//!   "request":{…}}` — a job was accepted; carries the full request so
-//!   recovery can re-admit it, plus an FNV-1a fingerprint of the
-//!   encoded request for cheap cross-restart identity checks.
+//! * `{"rec":"submitted","id":…,"at_ns":…,"tenant":…,"request":{…}}` —
+//!   a job was accepted; carries the full request so recovery can
+//!   re-admit it. Journals written before this format also carry a
+//!   `"fingerprint"` field; replay ignores it (the CRC already guards
+//!   each frame), so they recover unchanged.
 //! * `{"rec":"transition","id":…,"status":…,"at_ns":…}` — a
 //!   non-terminal lifecycle edge (bookkeeping/debugging; recovery only
 //!   needs it to know the job was still in flight).
@@ -87,18 +88,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
-}
-
-/// FNV-1a over the canonical encoded request — the spec fingerprint
-/// stored in `submitted` records.
-pub fn request_fingerprint(request: &JobRequest) -> u64 {
-    let encoded = wire::job_request_to_json(request).to_string();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in encoded.as_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// One job reconstructed from replay.
@@ -186,14 +175,13 @@ impl Journal {
         &self.path
     }
 
-    /// Log an accepted submission (full request + fingerprint).
+    /// Log an accepted submission (the full request).
     pub fn record_submitted(&self, id: JobId, request: &JobRequest, at_ns: u64) {
         self.append(&json!({
             "rec": "submitted",
             "id": id,
             "at_ns": at_ns,
             "tenant": request.tenant.clone(),
-            "fingerprint": format!("{:016x}", request_fingerprint(request)),
             "request": wire::job_request_to_json(request),
         }));
     }
@@ -568,11 +556,33 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_stable_and_spec_sensitive() {
-        let a = request_fingerprint(&request(4));
-        let b = request_fingerprint(&request(4));
-        let c = request_fingerprint(&request(5));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+    fn submitted_frames_with_the_old_fingerprint_field_still_replay() {
+        // Journals written before the field was dropped carry a
+        // `"fingerprint"` key in every `submitted` record.
+        let path = temp_path("old-fingerprint");
+        let payload = json!({
+            "rec": "submitted",
+            "id": 7,
+            "at_ns": 10,
+            "tenant": request(4).tenant,
+            "fingerprint": "8c3f0e51d2a4b697",
+            "request": wire::job_request_to_json(&request(4)),
+        })
+        .to_string()
+        .into_bytes();
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        std::fs::write(&path, &frame).expect("write old-format frame");
+
+        let (_journal, recovery) = Journal::open(&path, Telemetry::disabled()).expect("recover");
+        assert_eq!(recovery.records, 1);
+        assert_eq!(recovery.truncated_bytes, 0);
+        assert_eq!(recovery.jobs.len(), 1);
+        assert_eq!(recovery.jobs[0].id, 7);
+        assert_eq!(recovery.jobs[0].request, request(4));
+        assert_eq!(recovery.in_flight().count(), 1);
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -915,10 +915,10 @@ impl NetClient {
 
     /// Resubmit a prior job, optionally with a revised request — the
     /// interactive re-quote op. The server plans the new job through its
-    /// session cache, patching the prior session in place when it can
-    /// absorb the revision without a rebuild. Returns the full response (`id`
-    /// and `prior` on success; `UNKNOWN_JOB` if the daemon never issued
-    /// `prior`).
+    /// session cache like any submission: an unchanged or renamed spec
+    /// hits, a revised one builds one session cold. Returns the full
+    /// response (`id` and `prior` on success; `UNKNOWN_JOB` if the daemon
+    /// never issued `prior`).
     pub fn resubmit(&mut self, prior: JobId, revised: Option<&JobRequest>) -> io::Result<Value> {
         let mut request = json!({ "op": "resubmit", "id": prior });
         if let (Value::Object(obj), Some(revised)) = (&mut request, revised) {

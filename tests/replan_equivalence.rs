@@ -1,21 +1,27 @@
-//! Incremental re-planning equivalence: a session carried through a
-//! chain of [`PlannerSession::apply_delta`] calls must answer every
-//! query **bit-identically** to a session cold-built at the same final
-//! inputs — whichever repair tier each delta took (unchanged, fast
-//! recost, or full rebuild), at any rayon thread count, with the answer
-//! memo engaged.
+//! Re-quote equivalence: a chain of revised specs driven through one
+//! [`SessionCache`] via [`SessionCache::get_or_patch`] — the daemon's
+//! re-quote path — must answer every query **bit-identically** to a
+//! session cold-built at the same inputs, at any rayon thread count,
+//! with the answer memo engaged.
 //!
-//! The suite also pins the observable repair tiers for representative
-//! deltas (mapper-coefficient/price → in-place patch on unpruned DAGs;
-//! other coefficients, pruned DAGs and shape changes → rebuild) and that
-//! memo-served answers equal fresh solves.
+//! Sessions are immutable, so every lookup either hits a resident
+//! session or builds one cold. The suite pins which: a lookup hits
+//! exactly when the chain revisits a model-input tuple — an unchanged
+//! spec or a rename — and every model-bearing delta (coefficients,
+//! prices, object sizes, input count) misses. A hit on a renamed spec
+//! reuses a session built under the old name, so its DAG, potentials
+//! and memo-served answers are checked against a cold build too.
+
+use std::collections::HashSet;
+use std::sync::Arc;
 
 use astra::core::{
-    ConfigSpace, Objective, PlannerSession, PruneConfig, ReplanOutcome,
-    Strategy as SolverStrategy,
+    ConfigSpace, Objective, PlannerSession, PruneConfig, Strategy as SolverStrategy,
 };
 use astra::model::{JobSpec, Platform, WorkloadProfile};
 use astra::pricing::{Money, PriceCatalog};
+use astra::service::{CacheLookup, SessionCache, SessionKey};
+use astra::telemetry::Telemetry;
 use proptest::prelude::*;
 
 /// Last-wins global pool pin (same helper as `parallel_equivalence`).
@@ -49,7 +55,7 @@ enum DeltaStep {
     CoordCoeff(f64),
     /// Scale the lambda per-GB-second price by `num/denom`.
     Prices(i128, i128),
-    /// Rename the job (cosmetic).
+    /// Rename the job and its profile (labels only).
     Rename,
     /// Change every object's size (same count: no reshape).
     ObjectSize(f64),
@@ -88,7 +94,10 @@ fn apply_step(step: &DeltaStep, job: &mut JobSpec, catalog: &mut PriceCatalog) {
             catalog.lambda.per_gb_second =
                 Money::from_nanos(catalog.lambda.per_gb_second.nanos() * num / denom);
         }
-        DeltaStep::Rename => job.name.push('\''),
+        DeltaStep::Rename => {
+            job.name.push('\'');
+            job.profile.name.push('\'');
+        }
         DeltaStep::ObjectSize(size_mb) => {
             let n = job.num_objects();
             *job = JobSpec::uniform(&job.name, n, size_mb, job.profile.clone());
@@ -104,7 +113,7 @@ fn apply_step(step: &DeltaStep, job: &mut JobSpec, catalog: &mut PriceCatalog) {
 /// unconstrained endpoints plus budget and deadline grids spanning them.
 fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str) {
     // Potentials must be bit-identical: they are inputs to every label
-    // search, so this catches repair drift even where answers tie.
+    // search, so this catches drift even where answers tie.
     let (wp, cp) = (warm.potentials(), cold.potentials());
     assert_eq!(wp.min_time_to().len(), cp.min_time_to().len(), "{ctx}: node count");
     for (i, (a, b)) in wp.min_time_to().iter().zip(cp.min_time_to()).enumerate() {
@@ -113,7 +122,7 @@ fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str
     for (i, (a, b)) in wp.min_cost_to().iter().zip(cp.min_cost_to()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: min_cost_to[{i}]");
     }
-    // The DAG must be bit-identical too (patched store vs cold): node
+    // The DAG must be bit-identical too (cached store vs cold): node
     // labels and every edge-store array.
     let (wd, cd) = (warm.dag(), cold.dag());
     assert!(wd.nodes() == cd.nodes(), "{ctx}: node labels");
@@ -153,6 +162,27 @@ fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str
     }
 }
 
+/// The configuration space every test plans over.
+fn space(job: &JobSpec, platform: &Platform) -> ConfigSpace {
+    ConfigSpace::with_tiers(job, platform, &[128, 512, 1792, 3008])
+}
+
+/// One re-quote through the cache, exactly as the daemon makes it.
+fn requote(
+    cache: &SessionCache,
+    job: &JobSpec,
+    platform: &Platform,
+    catalog: &PriceCatalog,
+    strategy: SolverStrategy,
+    prune: PruneConfig,
+) -> (Arc<PlannerSession>, CacheLookup) {
+    let sp = space(job, platform);
+    let key = SessionKey::for_inputs(job, &sp, platform, catalog, strategy, prune);
+    cache.get_or_patch(key, job, &sp, platform, catalog, strategy, prune, || {
+        PlannerSession::new(job, platform.clone(), *catalog, sp.clone(), strategy, prune)
+    })
+}
+
 fn run_chain(
     steps: &[DeltaStep],
     strategy: SolverStrategy,
@@ -163,33 +193,39 @@ fn run_chain(
     let platform = Platform::aws_lambda();
     let mut job = JobSpec::uniform("replan-chain", 6, 2.0, base_profile(0.4));
     let mut catalog = PriceCatalog::aws_2020();
-    let space = |j: &JobSpec| ConfigSpace::with_tiers(j, &platform, &[128, 512, 1792, 3008]);
+    let cache = SessionCache::new(64, Telemetry::disabled());
+    let key = |job: &JobSpec, catalog: &PriceCatalog| {
+        SessionKey::for_inputs(job, &space(job, &platform), &platform, catalog, strategy, prune)
+    };
 
-    let mut warm = PlannerSession::new(
-        &job,
-        platform.clone(),
-        catalog,
-        space(&job),
-        strategy,
-        prune,
-    );
-    // Warm the memo before the first delta so invalidation is exercised.
+    let (warm, lookup) = requote(&cache, &job, &platform, &catalog, strategy, prune);
+    assert_eq!(lookup, CacheLookup::Miss);
+    let mut seen = HashSet::from([key(&job, &catalog)]);
+    // Warm the memo so a hit serves memoized answers.
     let _ = warm.solve(Objective::fastest());
     let _ = warm.solve(Objective::cheapest());
 
     for (i, step) in steps.iter().enumerate() {
         apply_step(step, &mut job, &mut catalog);
-        let sp = space(&job);
-        warm.apply_delta(&job, &platform, &catalog, &sp);
+        let ctx = format!("step {i} ({step:?}, t={threads})");
+        let (warm, lookup) = requote(&cache, &job, &platform, &catalog, strategy, prune);
+        let revisit = !seen.insert(key(&job, &catalog));
+        let expected = if revisit { CacheLookup::Hit } else { CacheLookup::Miss };
+        assert_eq!(lookup, expected, "{ctx}");
+        if matches!(step, DeltaStep::Rename) {
+            assert_eq!(lookup, CacheLookup::Hit, "{ctx}: a rename must hit");
+        }
+        let sp = space(&job, &platform);
         let cold = PlannerSession::new(&job, platform.clone(), catalog, sp, strategy, prune);
-        assert_sessions_agree(&warm, &cold, &format!("step {i} ({step:?}, t={threads})"));
+        assert_sessions_agree(&warm, &cold, &ctx);
     }
+    assert_eq!(cache.stats().patched, 0);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random delta chains, unpruned exact sessions (fast-recost tier).
+    /// Random delta chains, unpruned exact sessions.
     #[test]
     fn delta_chains_match_cold_sessions_unpruned(
         steps in proptest::collection::vec(arb_step(), 1..5)
@@ -197,8 +233,7 @@ proptest! {
         run_chain(&steps, SolverStrategy::ExactCsp, PruneConfig::off(), 1);
     }
 
-    /// Random delta chains, pruned exact sessions (every model-bearing
-    /// delta rebuilds; renames keep the session).
+    /// Random delta chains, pruned exact sessions (the daemon default).
     #[test]
     fn delta_chains_match_cold_sessions_pruned(
         steps in proptest::collection::vec(arb_step(), 1..5)
@@ -232,93 +267,92 @@ fn algorithm1_chains_match_cold_sessions() {
         DeltaStep::MapperCoeff(1.2),
         DeltaStep::Prices(9, 10),
         DeltaStep::CoordCoeff(1.5),
+        DeltaStep::Rename,
     ];
     run_chain(&steps, SolverStrategy::Algorithm1, PruneConfig::on(), 1);
 }
 
-/// The repair tiers land where the taxonomy says they should.
+/// Identity and rename re-quotes hit; every model-bearing delta misses
+/// and builds once.
 #[test]
 fn outcomes_follow_the_delta_taxonomy() {
     let platform = Platform::aws_lambda();
-    let mut job = JobSpec::uniform("tiers", 6, 2.0, base_profile(0.4));
-    let mut catalog = PriceCatalog::aws_2020();
-    let space = |j: &JobSpec| ConfigSpace::with_tiers(j, &platform, &[128, 512, 1792, 3008]);
-    let mut s = PlannerSession::new(
-        &job,
-        platform.clone(),
-        catalog,
-        space(&job),
-        SolverStrategy::ExactCsp,
-        PruneConfig::off(),
-    );
+    for prune in [PruneConfig::on(), PruneConfig::off()] {
+        let cache = SessionCache::new(64, Telemetry::disabled());
+        let mut job = JobSpec::uniform("tiers", 6, 2.0, base_profile(0.4));
+        let mut catalog = PriceCatalog::aws_2020();
+        let lookup = |job: &JobSpec, catalog: &PriceCatalog| {
+            requote(&cache, job, &platform, catalog, SolverStrategy::ExactCsp, prune).1
+        };
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss);
 
-    // Identity: untouched inputs change nothing.
-    let sp = space(&job);
-    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Unchanged);
+        // Identity: untouched inputs hit.
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Hit);
 
-    // Rename: cosmetic.
-    job.name = "tiers-renamed".to_string();
-    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Unchanged);
-    assert_eq!(s.job().name, "tiers-renamed");
+        // Renames: labels only, so they hit.
+        job.name = "tiers-renamed".to_string();
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Hit);
+        job.profile.name = "profile-renamed".to_string();
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Hit);
 
-    // Gentle mapper recalibration on an unpruned DAG: fast recost.
-    job.profile.map_secs_per_mb_128 *= 1.01;
-    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Patched);
+        // Every model-bearing delta misses.
+        job.profile.map_secs_per_mb_128 *= 1.01;
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "mapper coefficient");
+        catalog.lambda.per_gb_second =
+            Money::from_nanos(catalog.lambda.per_gb_second.nanos() * 2);
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "prices");
+        job.profile.reduce_secs_per_mb_128 *= 1.01;
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "reduce coefficient");
+        job.profile.coord_secs_per_mb_128 *= 1.01;
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "coordinator coefficient");
+        job = JobSpec::uniform(&job.name, 6, 2.5, job.profile.clone());
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "object size");
+        job = JobSpec::uniform(&job.name, 8, 2.5, job.profile.clone());
+        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "input count");
 
-    // Price bump: fast recost.
-    catalog.lambda.per_gb_second = Money::from_nanos(catalog.lambda.per_gb_second.nanos() * 2);
-    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Patched);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.patched, stats.misses), (3, 0, 7));
 
-    // Reduce coefficient: outside the fast tier — rebuild.
-    job.profile.reduce_secs_per_mb_128 *= 1.01;
-    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Rebuilt);
-
-    // Input-count change: reshape — rebuild.
-    job = JobSpec::uniform(&job.name, 8, 2.0, job.profile.clone());
-    let sp = space(&job);
-    assert_eq!(s.apply_delta(&job, &platform, &catalog, &sp), ReplanOutcome::Rebuilt);
-
-    // After the rebuild the session still answers like a cold build.
-    let cold = PlannerSession::new(
-        &job,
-        platform.clone(),
-        catalog,
-        sp,
-        SolverStrategy::ExactCsp,
-        PruneConfig::off(),
-    );
-    assert_sessions_agree(&s, &cold, "post-rebuild");
+        // The last session still answers like a cold build.
+        let (s, _) = requote(&cache, &job, &platform, &catalog, SolverStrategy::ExactCsp, prune);
+        let cold = PlannerSession::new(
+            &job,
+            platform.clone(),
+            catalog,
+            space(&job, &platform),
+            SolverStrategy::ExactCsp,
+            prune,
+        );
+        assert_sessions_agree(&s, &cold, "post-delta");
+    }
 }
 
-/// A delta that flips a mapper timeout gate must fall back to a rebuild
-/// (the fast tier refuses to change shape) and still answer cold.
+/// A delta that flips a mapper timeout gate changes the DAG's shape: it
+/// misses, and the new session answers like a cold build.
 #[test]
 fn gate_flip_falls_back_and_stays_exact() {
     let platform = Platform::aws_lambda();
     let mut job = JobSpec::uniform("gate-flip", 8, 4.0, base_profile(0.4));
     let catalog = PriceCatalog::aws_2020();
-    let space = |j: &JobSpec| ConfigSpace::with_tiers(j, &platform, &[128, 512, 1792, 3008]);
-    let mut s = PlannerSession::new(
-        &job,
-        platform.clone(),
-        catalog,
-        space(&job),
-        SolverStrategy::ExactCsp,
-        PruneConfig::off(),
-    );
+    let cache = SessionCache::new(4, Telemetry::disabled());
+    let prune = PruneConfig::off();
+    let (before, _) = requote(&cache, &job, &platform, &catalog, SolverStrategy::ExactCsp, prune);
     // A 100x mapper slowdown pushes low tiers past the timeout: the
-    // feasible set shrinks, so the patch must refuse.
+    // feasible set shrinks.
     job.profile.map_secs_per_mb_128 *= 100.0;
-    let sp = space(&job);
-    let outcome = s.apply_delta(&job, &platform, &catalog, &sp);
-    assert_eq!(outcome, ReplanOutcome::Rebuilt, "gate flip must rebuild");
+    let (s, lookup) = requote(&cache, &job, &platform, &catalog, SolverStrategy::ExactCsp, prune);
+    assert_eq!(lookup, CacheLookup::Miss, "gate flip must miss");
+    assert!(
+        s.dag().soa().edges_stored() < before.dag().soa().edges_stored(),
+        "the flip must drop infeasible edges"
+    );
     let cold = PlannerSession::new(
         &job,
         platform.clone(),
         catalog,
-        sp,
+        space(&job, &platform),
         SolverStrategy::ExactCsp,
-        PruneConfig::off(),
+        prune,
     );
     assert_sessions_agree(&s, &cold, "gate flip");
 }
