@@ -27,11 +27,14 @@
 //! historical entries (`dag_build_*`, `solve_exact_csp`) deliberately
 //! keep measuring the *unpruned* DAG and the plain label search, so
 //! their numbers stay comparable across baselines; the dominance-pruned
-//! planner core is tracked by `dag_build_pruned`, `solve_csp_potentials`
-//! and the `session_sweep_*` pair.
+//! planner core is tracked by `dag_build_pruned` (and, on ragged
+//! `cold_distinct`-shaped jobs, `dag_build_pruned_jittered`),
+//! `solve_csp_potentials` and the `session_sweep_*` pair.
 
 use astra_bench::runner::{run_cli, time_ms, BenchArgs};
-use astra_bench::{binding_budget, full_space, planner, production_job, synthetic_job};
+use astra_bench::{
+    binding_budget, full_space, jittered_job, planner, production_job, synthetic_job,
+};
 use astra_core::solver::{solve_exhaustive, solve_exhaustive_serial, solve_on_dag};
 use astra_core::{ConfigSpace, Objective, PlannerDag, PlannerPotentials, PruneConfig, Strategy};
 use serde_json::{json, Value};
@@ -335,6 +338,28 @@ fn run_suite(args: &BenchArgs) -> Value {
             tiers,
             cs_mean,
             cs_min,
+        );
+    }
+
+    // The daemon's cold traffic: a new spec with ragged object sizes,
+    // shaped like the repository benchmark's `cold_distinct` requests,
+    // built over the full space. Runs under every `--sizes` setting so
+    // the CI check gates it.
+    {
+        let n = 120;
+        let job = jittered_job(n);
+        let space = full_space(&astra, &job);
+        let tiers = space.memory_tiers_mb.len();
+        let (jb_mean, jb_min) = time_ms(args.samples, || {
+            PlannerDag::build_with(&job, astra.platform(), astra.catalog(), &space, prune)
+        });
+        push(
+            &mut results,
+            format!("dag_build_pruned_jittered/N{n}"),
+            n,
+            tiers,
+            jb_mean,
+            jb_min,
         );
     }
 

@@ -56,6 +56,27 @@ pub fn production_job(n: usize) -> JobSpec {
     JobSpec::uniform("bench-prod", n, 1.0, profile)
 }
 
+/// A job shaped like the repository benchmark's `cold_distinct`
+/// requests: `n` objects of 64 MB, each scaled by up to ±20% from a fixed
+/// xorshift stream, under the wordcount profile. Ragged sizes take the
+/// model's open-form mapper path, which the uniform fixtures never run.
+pub fn jittered_job(n: usize) -> JobSpec {
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let object_sizes_mb = (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            64.0 * (0.8 + 0.4 * (state >> 11) as f64 / (1u64 << 53) as f64)
+        })
+        .collect();
+    JobSpec {
+        name: format!("bench-jittered-{n}"),
+        object_sizes_mb,
+        profile: astra_workloads::profiles::wordcount(),
+    }
+}
+
 /// A binding budget objective for `job` (midpoint of the cost range).
 pub fn binding_budget(astra: &Astra, job: &JobSpec) -> Objective {
     let cheapest = astra.plan(job, Objective::cheapest()).unwrap();

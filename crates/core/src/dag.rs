@@ -55,14 +55,45 @@
 //! * **reducer tiers** per `(k_M, k_R, coordinator)` — the final column
 //!   edge to the sink is (0, 0), so the final-edge bundle alone decides.
 //!
-//! Dominance is exact (`<=` with at least one strict `<`, integer nanos
-//! for cost); exact ties are always kept. A dominated candidate cannot
-//! lie on a *strictly* optimal constrained path for any bound, and for
-//! tied paths the label-setting solver already settles the dominator
+//! Tier dominance is exact (`<=` with at least one strict `<`, integer
+//! nanos for cost); exact ties are always kept. A dominated candidate
+//! cannot lie on a *strictly* optimal constrained path for any bound, and
+//! for tied paths the label-setting solver already settles the dominator
 //! first and kills the dominated arrival via its `<=` frontier check —
 //! so pruned and unpruned DAGs return identical optima (equivalence
 //! tests assert config-level identity against the unpruned exhaustive
-//! solver). [`PlannerDag::prune_stats`] reports how much was removed.
+//! solver).
+//!
+//! * **pair subtrees** — a whole `(k_M, k_R)` column-3 node, with its
+//!   coordinators and final edges, is dropped when *every* source→sink
+//!   path through it is dominated by another path of the DAG, and a
+//!   `k_M` node left with no pair goes with its mapper edges. Here `q`
+//!   dominates `p` only if it is faster by more than
+//!   `PATH_TIME_MARGIN_S` (1e-9 s) **and** at least one nanodollar
+//!   cheaper. Time is summed as `(T1 + t2) + phase`, the solvers' order;
+//!   cost in integer nanos. Strictness on both metrics keeps ties and the
+//!   float near-ties of the solvers' f64 micro-dollar sums: a dropped
+//!   path is beaten on both metrics by a kept one with room to spare,
+//!   so it is never an optimum for any budget or deadline.
+//!
+//!   The check is global and exact, but most pairs never build their
+//!   T×T table. Each `k_M`'s first and last `k_R` candidate (`k_R = 2`
+//!   and the single-step pair) are priced in full and seed an incumbent
+//!   staircase. Every other pair first gets a lower bound per reducer
+//!   tier — time `(T1 + min t2) + phase(s)`, cost `c1 + e2 + min e3 +
+//!   cost_excl(s)` plus the smallest tier's runtime charge for the
+//!   shortest possible coordinator wait — and a pair whose bounds are
+//!   all dominated is certified dead unpriced. The rest are priced, and
+//!   one frontier pass keeps exactly the priced pairs with a path no
+//!   priced path dominates (per pair and tier it checks the fastest and
+//!   cheapest real points first and expands a tier's full points only
+//!   where that summary escapes). A certified pair's paths are dominated
+//!   by real, priced paths, and margin dominance is transitive, so the
+//!   kept set is "every pair with an undominated path" whatever the
+//!   seeds, the bounds or the thread count: skipping a table never
+//!   changes the DAG.
+//!
+//! [`PlannerDag::prune_stats`] reports how much was removed.
 //!
 //! Columns 3–4 are pruned on a dense table, not on edge lists. Per
 //! `(k_M, k_R)` the builder fills one T×T `i64` table of final-edge
@@ -90,7 +121,9 @@
 //! analytical model once per `(k_M, tier)` for the mapper edges and once
 //! per `(k_M, k_R, tier)` for the reduce edges. [`PlannerDag::build`]
 //! evaluates those edge metrics in parallel (rayon) as side-effect-free
-//! *recipes*, then assembles the DAG serially from the collected
+//! *recipes* — under pruning in two order-preserving passes, the seed
+//! pairs and then the rest, with the serial frontier checks between and
+//! after them — then assembles the DAG serially from the collected
 //! recipes in a fixed order — `k_M` in `space.k_m_values` order, `k_R`
 //! in candidate order, tiers in `space.memory_tiers_mb` order — so node
 //! and edge IDs are identical for every thread count and identical to
@@ -200,10 +233,12 @@ fn nanos_i64(cost: Money) -> i64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruneConfig {
     /// Drop tier candidates whose (time, cost) bundle is Pareto-dominated
-    /// in every context they appear in. Dominance is *exact* (`<=` on
-    /// both metrics with at least one strict `<`): an exactly-tied
-    /// candidate is never dropped, so solver tie-breaking is untouched
-    /// and pruned/unpruned DAGs yield identical constrained optima.
+    /// in every context they appear in, and `(k_M, k_R)` pair subtrees
+    /// none of whose paths is undominated. Tier dominance is *exact*
+    /// (`<=` on both metrics with at least one strict `<`), path
+    /// dominance strict on both metrics with a margin, so ties are never
+    /// dropped, solver tie-breaking is untouched and pruned/unpruned DAGs
+    /// yield identical constrained optima.
     pub pareto_tiers: bool,
 }
 
@@ -232,23 +267,32 @@ impl PruneConfig {
 /// `planner.dag.pruned_*` telemetry gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
-    /// `x_i -> k_M` edges dropped (mapper tier dominated for that `k_M`).
+    /// `x_i -> k_M` edges dropped (mapper tier dominated for that `k_M`,
+    /// or the `k_M` node left without a pair subtree).
     pub mapper_edges: usize,
-    /// Column-4 coordinator nodes dropped (tier dominated for that
-    /// `(k_M, k_R)` across every reducer continuation, or a dead end
-    /// with no feasible reducer tier). Each takes its `e3` edge and its
-    /// final edges with it.
+    /// Column-4 coordinator nodes dropped within kept pairs (tier
+    /// dominated for that `(k_M, k_R)` across every reducer continuation,
+    /// or a dead end with no feasible reducer tier). Each takes its `e3`
+    /// edge and its final edges with it.
     pub coordinator_nodes: usize,
-    /// `+coord -> z_s` final edges dropped (reducer tier dominated for
-    /// that `(k_M, k_R, coordinator)` context).
+    /// `+coord -> z_s` final edges dropped within kept pairs (reducer
+    /// tier dominated for that `(k_M, k_R, coordinator)` context).
     pub reducer_edges: usize,
+    /// `(k_M, k_R)` column-3 subtrees dropped whole: no path through the
+    /// pair escapes domination by another path (module docs, "Dominance
+    /// pruning"). A dropped pair's own coordinators and final edges are
+    /// not counted again above.
+    pub pair_subtrees: usize,
+    /// Of [`pair_subtrees`](Self::pair_subtrees), those certified dead
+    /// by a lower bound before their coordinator/reducer table was built.
+    pub pairs_unpriced: usize,
 }
 
 impl PruneStats {
-    /// Total pruned items (edges + nodes) — a quick "did pruning fire"
-    /// signal for tests and gauges.
+    /// Total pruned items (edges, nodes and pair subtrees) — a quick
+    /// "did pruning fire" signal for tests and gauges.
     pub fn total(&self) -> usize {
-        self.mapper_edges + self.coordinator_nodes + self.reducer_edges
+        self.mapper_edges + self.coordinator_nodes + self.reducer_edges + self.pair_subtrees
     }
 }
 
@@ -470,6 +514,21 @@ struct Col3Recipe {
     per_coord: Vec<(usize, Col4Recipe)>,
     pruned_coords: usize,
     pruned_final_edges: usize,
+    /// Per reducer tier with final edges, in tier order, the frontier
+    /// pass's summary (empty when pruning is off).
+    tiers: Vec<TierSummary>,
+}
+
+/// One reducer tier of a priced pair, as the frontier pass reads it: the
+/// tier's phase span and its least-time and least-cost coordinator
+/// entries, each as `(t2, e3 cost + final-edge cost)` (ties broken by the
+/// other metric).
+#[derive(Clone, Copy)]
+struct TierSummary {
+    si: usize,
+    phase_s: f64,
+    fast: (f64, i64),
+    cheap: (f64, i64),
 }
 
 /// Drop entries whose metric bundle is Pareto-dominated by another entry
@@ -593,28 +652,39 @@ fn col2_recipe(
     })
 }
 
-/// Compute the column-3/4 recipe for one `(k_M, k_R)` pair (pure; safe
-/// to run on any thread). `coord_compute[ai]` is the coordinator
-/// planning time at tier `ai`.
-///
-/// One fused pass: reducer-tier times straight from the pair's reduce
-/// structure, then a dense T×T table of final-edge costs
-/// (`table[ai * t + si]`, [`NO_EDGE`] where coordinator `ai` cannot
-/// continue to reducer tier `si`), filled row by row along the feasible
-/// reducer tiers in wait order (see the module docs for why the early
-/// break and the billing-bucket reuse are exact). Dominance pruning runs
-/// on the table; edge vectors are built only for what survives.
-#[allow(clippy::too_many_arguments)]
-fn col3_recipe(
+/// What one `(k_M, k_R)` pair needs before its T×T table is filled: the
+/// pair's `e2` edge, per feasible reducer tier the phase span, the
+/// coordinator's wait and the coordinator-independent part of the final
+/// edge's cost, and per coordinator tier the `e3` edge.
+struct PairFrame {
+    k_r: usize,
+    e2: EdgeMetrics,
+    /// Reduce-phase span per reducer tier (0 for infeasible tiers).
+    phase_s: Vec<f64>,
+    /// Final-edge cost without the coordinator's runtime charge.
+    cost_excl: Vec<Money>,
+    /// Feasible reducer tiers as `(coordinator wait, tier)`, by wait.
+    by_wait: Vec<(f64, usize)>,
+    /// Feasible reducer tiers as `(phase span, tier)`, by span.
+    by_time: Vec<(f64, usize)>,
+    /// The final reduce step's launch latency, which the coordinator pays.
+    last_spawn_s: f64,
+    /// The `(k_M,k_R) -> +coord` edge per coordinator tier.
+    e3: Vec<EdgeMetrics>,
+}
+
+/// Compute a pair's [`PairFrame`], or `None` if the pair breaks an
+/// Eq. 18 cap (pure; safe to run on any thread). `coord_compute[ai]` is
+/// the coordinator planning time at tier `ai`.
+fn pair_frame(
     platform: &Platform,
     catalog: &PriceCatalog,
     space: &ConfigSpace,
     cache: &ModelCache<'_>,
     coord_compute: &[f64],
-    prune: PruneConfig,
     k_m: usize,
     k_r: usize,
-) -> Option<Col3Recipe> {
+) -> Option<PairFrame> {
     let job = cache.job();
     let tiers = &space.memory_tiers_mb;
     let t = tiers.len();
@@ -676,17 +746,9 @@ fn col3_recipe(
         by_time.push((phase_s[si], si));
     }
     by_wait.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    by_time.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    let last_spawn_s = *structure
-        .per_step_spawn_s
-        .last()
-        .expect("at least one step");
-    // Row `ai`'s entries are exactly `by_wait[..reach[ai]]`: the
-    // coordinator's billed time `(t2 + w) + L` is nondecreasing along
-    // `by_wait`, so the first tier over the timeout ends the row.
-    let mut table = vec![NO_EDGE; t * t];
-    let mut reach = vec![0usize; t];
-    let e3: Vec<EdgeMetrics> = tiers
+    let e3 = tiers
         .iter()
         .enumerate()
         .map(|(ai, &a_mem)| {
@@ -702,24 +764,76 @@ fn col3_recipe(
                 cache.job_total_mb(),
                 pending_input_mb,
             );
-            let row = &mut table[ai * t..(ai + 1) * t];
-            let mut bill = catalog.lambda.billing_cursor(a_mem);
-            for &(wait_s, si) in &by_wait {
-                // The coordinator waits through the first P-1 steps and
-                // pays the final step's launch latency before exiting
-                // (PerfBreakdown::coordinator_billed_s).
-                let coord_billed_s = t2_s + wait_s + last_spawn_s;
-                if coord_billed_s > platform.timeout_s {
-                    break;
-                }
-                // `runtime_cost`'s rounding, repriced only on a new bucket.
-                let coord_cost = bill.runtime_cost_us(coord_billed_s * 1e6);
-                row[si] = nanos_i64(cost_excl[si] + coord_cost);
-                reach[ai] += 1;
-            }
             metrics(t2_s, e3_cost)
         })
         .collect();
+
+    Some(PairFrame {
+        k_r,
+        e2: metrics(0.0, e2_cost),
+        phase_s,
+        cost_excl,
+        by_wait,
+        by_time,
+        last_spawn_s: *structure
+            .per_step_spawn_s
+            .last()
+            .expect("at least one step"),
+        e3,
+    })
+}
+
+/// Price a pair in full: the column-3/4 recipe (pure; safe to run on any
+/// thread).
+///
+/// One dense T×T table of final-edge costs (`table[ai * t + si]`,
+/// [`NO_EDGE`] where coordinator `ai` cannot continue to reducer tier
+/// `si`), filled row by row along the feasible reducer tiers in wait
+/// order (see the module docs for why the early break and the
+/// billing-bucket reuse are exact). Dominance pruning runs on the table;
+/// edge vectors are built only for what survives.
+fn price_pair(
+    platform: &Platform,
+    catalog: &PriceCatalog,
+    space: &ConfigSpace,
+    frame: PairFrame,
+    prune: PruneConfig,
+) -> Col3Recipe {
+    let tiers = &space.memory_tiers_mb;
+    let t = tiers.len();
+    let PairFrame {
+        k_r,
+        e2,
+        phase_s,
+        cost_excl,
+        by_wait,
+        by_time,
+        last_spawn_s,
+        e3,
+    } = frame;
+    // Row `ai`'s entries are exactly `by_wait[..reach[ai]]`: the
+    // coordinator's billed time `(t2 + w) + L` is nondecreasing along
+    // `by_wait`, so the first tier over the timeout ends the row.
+    let mut table = vec![NO_EDGE; t * t];
+    let mut reach = vec![0usize; t];
+    for (ai, &a_mem) in tiers.iter().enumerate() {
+        let t2_s = e3[ai].time_s;
+        let row = &mut table[ai * t..(ai + 1) * t];
+        let mut bill = catalog.lambda.billing_cursor(a_mem);
+        for &(wait_s, si) in &by_wait {
+            // The coordinator waits through the first P-1 steps and
+            // pays the final step's launch latency before exiting
+            // (PerfBreakdown::coordinator_billed_s).
+            let coord_billed_s = t2_s + wait_s + last_spawn_s;
+            if coord_billed_s > platform.timeout_s {
+                break;
+            }
+            // `runtime_cost`'s rounding, repriced only on a new bucket.
+            let coord_cost = bill.runtime_cost_us(coord_billed_s * 1e6);
+            row[si] = nanos_i64(cost_excl[si] + coord_cost);
+            reach[ai] += 1;
+        }
+    }
 
     // Coordinator-tier dominance within this (k_M, k_R). A path through
     // coordinator `a` and reducer tier `s` adds time `t2(a) + phase(s)`
@@ -758,9 +872,11 @@ fn col3_recipe(
     // decides. A final edge's time is the coordinator-independent
     // `phase_s(s)`, so one time order serves every coordinator and each
     // table row is swept in O(T). Without pruning every entry is kept.
-    by_time.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     let mut keep_si = vec![true; t];
     let mut pruned_final_edges = 0;
+    // The frontier summary, folded into the edge walk (pruning only).
+    const NONE: (f64, i64) = (f64::INFINITY, i64::MAX);
+    let (mut fast, mut cheap) = (vec![NONE; t], vec![NONE; t]);
     let per_coord: Vec<(usize, Col4Recipe)> = (0..t)
         .filter(|&ai| !prune || !dominated(ai))
         .map(|ai| {
@@ -768,9 +884,20 @@ fn col3_recipe(
             if prune {
                 pareto_sweep(&by_time, row, &mut keep_si);
             }
+            let (t2, base) = (e3[ai].time_s, e3[ai].cost_nanos);
             // Survivors only, in reducer-tier order.
             let mut final_edges = Vec::with_capacity(reach[ai]);
             final_edges.extend((0..t).filter(|&si| row[si] != NO_EDGE && keep_si[si]).map(|si| {
+                if prune {
+                    let e = (t2, base + row[si]);
+                    let (f, c) = (&mut fast[si], &mut cheap[si]);
+                    if e < *f {
+                        *f = e;
+                    }
+                    if (e.1, e.0) < (c.1, c.0) {
+                        *c = e;
+                    }
+                }
                 let m = EdgeMetrics {
                     time_s: phase_s[si],
                     cost_nanos: row[si],
@@ -781,14 +908,302 @@ fn col3_recipe(
             (ai, Col4Recipe { e3: e3[ai], final_edges })
         })
         .collect();
+    let tiers = (0..t)
+        .filter(|&si| fast[si] != NONE)
+        .map(|si| TierSummary {
+            si,
+            phase_s: phase_s[si],
+            fast: fast[si],
+            cheap: cheap[si],
+        })
+        .collect();
 
-    Some(Col3Recipe {
+    Col3Recipe {
         k_r,
-        e2: metrics(0.0, e2_cost),
+        e2,
         pruned_coords: t - per_coord.len(),
         per_coord,
         pruned_final_edges,
-    })
+        tiers,
+    }
+}
+
+/// Dominance between whole source→sink paths, for dropping pair
+/// subtrees: `q` dominates `p` iff `q` is faster by more than this
+/// margin **and** at least one nanodollar cheaper. The margin covers
+/// float association: a path's time is summed as `(T1 + t2) + phase`,
+/// the solver's order, but a few ulps must never decide a drop.
+const PATH_TIME_MARGIN_S: f64 = 1e-9;
+
+/// A whole path's time (seconds, summed in the solver's order) and cost
+/// (integer nanodollars).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PathPoint {
+    time_s: f64,
+    cost_nanos: i64,
+}
+
+impl PathPoint {
+    /// The path through mapper edge `mapper`, a pair whose `e2` edge
+    /// costs `e2_nanos`, coordinator time `t2_s`, and the coordinator's
+    /// `e3` plus final-edge cost `tail_nanos` into a reducer tier with
+    /// phase span `phase_s`.
+    fn of(mapper: EdgeMetrics, e2_nanos: i64, t2_s: f64, tail_nanos: i64, phase_s: f64) -> Self {
+        PathPoint {
+            time_s: (mapper.time_s + t2_s) + phase_s,
+            cost_nanos: mapper.cost_nanos + e2_nanos + tail_nanos,
+        }
+    }
+}
+
+/// A set of path points, reduced to its staircase, that answers "does
+/// some point of the set dominate `p`" (with the
+/// [`PATH_TIME_MARGIN_S`] rule) exactly in O(log n). Points are kept by
+/// strictly rising time with strictly falling cost: a point no cheaper
+/// than a faster (or equally fast) one can dominate nothing that one
+/// does not.
+#[derive(Clone, Default)]
+struct Staircase {
+    times: Vec<f64>,
+    costs: Vec<i64>,
+}
+
+impl Staircase {
+    fn dominates(&self, p: PathPoint) -> bool {
+        // `t + margin < p.time_s` is monotone along the sorted times.
+        let k = self
+            .times
+            .partition_point(|&t| t + PATH_TIME_MARGIN_S < p.time_s);
+        k > 0 && self.costs[k - 1] < p.cost_nanos
+    }
+
+    /// Append `p`, no faster than any point kept so far.
+    fn push_sorted(&mut self, p: PathPoint) {
+        if self.costs.last().is_none_or(|&c| p.cost_nanos < c) {
+            self.times.push(p.time_s);
+            self.costs.push(p.cost_nanos);
+        }
+    }
+
+    fn points(&self) -> impl Iterator<Item = PathPoint> + '_ {
+        self.times
+            .iter()
+            .zip(&self.costs)
+            .map(|(&time_s, &cost_nanos)| PathPoint { time_s, cost_nanos })
+    }
+
+    /// Add a batch of points: one sort, no shifting.
+    fn extend(&mut self, mut points: Vec<PathPoint>) {
+        points.extend(self.points());
+        points.sort_by(|a, b| {
+            a.time_s
+                .total_cmp(&b.time_s)
+                .then(a.cost_nanos.cmp(&b.cost_nanos))
+        });
+        *self = Staircase::default();
+        points.into_iter().for_each(|p| self.push_sorted(p));
+    }
+
+    /// Add every point of `other` in one linear merge.
+    fn merge(&mut self, other: &Staircase) {
+        if other.times.is_empty() {
+            return;
+        }
+        let mine = std::mem::take(self);
+        let (mut a, mut b) = (mine.points().peekable(), other.points().peekable());
+        loop {
+            let from_mine = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => (x.time_s, x.cost_nanos) <= (y.time_s, y.cost_nanos),
+                (x, _) => x.is_some(),
+            };
+            match if from_mine { a.next() } else { b.next() } {
+                Some(p) => self.push_sorted(p),
+                None => break,
+            }
+        }
+    }
+
+    /// Add `p` to the set.
+    fn insert(&mut self, p: PathPoint) {
+        // Points before `k` are strictly faster.
+        let k = self.times.partition_point(|&t| t < p.time_s);
+        let covered = |i: usize| self.costs[i] <= p.cost_nanos;
+        let same_time = k < self.times.len() && self.times[k] == p.time_s;
+        if (k > 0 && covered(k - 1)) || (same_time && covered(k)) {
+            return; // a point at least as fast and as cheap is kept
+        }
+        // Points from `k` on are no faster; drop those no cheaper.
+        let end = k + self.costs[k..].partition_point(|&c| c >= p.cost_nanos);
+        self.times.splice(k..end, [p.time_s]);
+        self.costs.splice(k..end, [p.cost_nanos]);
+    }
+}
+
+/// The mapper edges of one `k_M` that reach the fastest and the
+/// cheapest path points: least time (ties: least cost), least cost
+/// (ties: least time).
+fn mapper_extremes(mapper_edges: &[(usize, EdgeMetrics)]) -> (EdgeMetrics, EdgeMetrics) {
+    let mut fast = mapper_edges[0].1;
+    let mut cheap = fast;
+    for &(_, m) in &mapper_edges[1..] {
+        if (m.time_s, m.cost_nanos) < (fast.time_s, fast.cost_nanos) {
+            fast = m;
+        }
+        if (m.cost_nanos, m.time_s) < (cheap.cost_nanos, cheap.time_s) {
+            cheap = m;
+        }
+    }
+    (fast, cheap)
+}
+
+/// True if no path through the pair can escape `incumbent`: a lower
+/// bound on every path through each reducer tier is dominated. Per tier
+/// `s` and mapper edge the bound is time `(T1 + min t2) + phase(s)` and
+/// cost `c1 + e2 + min e3c + cost_excl(s)` plus the runtime charge of the
+/// smallest coordinator tier waiting `(min t2 + wait(s)) + L` — float
+/// sums and the billing model are monotone, so no real path beats it.
+fn certified_dead(
+    platform: &Platform,
+    catalog: &PriceCatalog,
+    space: &ConfigSpace,
+    frame: &PairFrame,
+    mapper_edges: &[(usize, EdgeMetrics)],
+    incumbent: &Staircase,
+) -> bool {
+    let min_t2_s = frame.e3.iter().map(|m| m.time_s).fold(f64::INFINITY, f64::min);
+    let min_e3_nanos = frame.e3.iter().map(|m| m.cost_nanos).min().unwrap_or(0);
+    let min_mem = space.memory_tiers_mb.iter().copied().min().unwrap_or(0);
+    let (fast_mapper, cheap_mapper) = mapper_extremes(mapper_edges);
+    let least = EdgeMetrics {
+        time_s: fast_mapper.time_s,
+        cost_nanos: cheap_mapper.cost_nanos,
+    };
+    let mut bill = catalog.lambda.billing_cursor(min_mem);
+    for &(wait_s, si) in &frame.by_wait {
+        let coord_billed_s = min_t2_s + wait_s + frame.last_spawn_s;
+        if coord_billed_s > platform.timeout_s {
+            break; // no coordinator reaches this tier or any later one
+        }
+        let coord_cost = bill.runtime_cost_us(coord_billed_s * 1e6);
+        let tail_nanos = min_e3_nanos + nanos_i64(frame.cost_excl[si] + coord_cost);
+        let (e2, phase_s) = (frame.e2.cost_nanos, frame.phase_s[si]);
+        let bound = |m| PathPoint::of(m, e2, min_t2_s, tail_nanos, phase_s);
+        // The least mapper time and cost bound every mapper edge at once.
+        if incumbent.dominates(bound(least)) {
+            continue;
+        }
+        if mapper_edges.iter().any(|&(_, m)| !incumbent.dominates(bound(m))) {
+            return false;
+        }
+    }
+    true
+}
+
+/// The global frontier check over fully priced pairs. `base` holds real
+/// path points already known (or is empty); `pairs[p]` is a priced pair
+/// and the mapper edges of its `k_M`. Returns the staircase of every
+/// point seen (exact for dominance queries over `base` and all paths of
+/// `pairs`) and, per pair, its points that staircase does not dominate.
+///
+/// Not every point is enumerated. Per pair and reducer tier, the fastest
+/// and the cheapest real point go into the staircase first; a tier's
+/// points are expanded only when the corner (fastest time, cheapest
+/// cost) escapes it, and only expanded points that escape it too join
+/// it. A point left out is dominated by a point in the staircase, and
+/// dominance is transitive, so the final staircase answers for every
+/// path.
+fn frontier_pass(
+    base: &Staircase,
+    pairs: &[(&Col3Recipe, &[(usize, EdgeMetrics)])],
+    t: usize,
+) -> (Staircase, Vec<Vec<PathPoint>>) {
+    let mut stairs = base.clone();
+    let mut summary = Vec::new();
+    for &(recipe, mapper_edges) in pairs {
+        let (fast_mapper, cheap_mapper) = mapper_extremes(mapper_edges);
+        let e2 = recipe.e2.cost_nanos;
+        for &TierSummary {
+            phase_s,
+            fast: f,
+            cheap: c,
+            ..
+        } in &recipe.tiers
+        {
+            summary.push(PathPoint::of(fast_mapper, e2, f.0, f.1, phase_s));
+            summary.push(PathPoint::of(cheap_mapper, e2, c.0, c.1, phase_s));
+        }
+    }
+    stairs.extend(summary);
+
+    // Expand the tiers whose corner (fastest time, cheapest cost) escapes
+    // the staircase. Within one, a mapper edge is skipped when its own
+    // corner (with the tier's least t2 and least coordinator cost) is
+    // dominated, and a coordinator entry when its corner (with the least
+    // time and cost of the mapper edges left) is: both bound every point
+    // they take part in. A pair's escaping points are kept in a staircase
+    // of its own, merged into `stairs` once the pair is done.
+    let mut live = vec![false; t];
+    let mut entries: Vec<(usize, f64, i64)> = Vec::new();
+    let mut live_mappers: Vec<EdgeMetrics> = Vec::new();
+    let mut candidates: Vec<Vec<PathPoint>> = Vec::with_capacity(pairs.len());
+    for &(recipe, mapper_edges) in pairs {
+        let (fast_mapper, cheap_mapper) = mapper_extremes(mapper_edges);
+        let e2 = recipe.e2.cost_nanos;
+        let mut any_live = false;
+        for tier in &recipe.tiers {
+            let least = EdgeMetrics {
+                time_s: fast_mapper.time_s,
+                cost_nanos: cheap_mapper.cost_nanos,
+            };
+            let corner = PathPoint::of(least, e2, tier.fast.0, tier.cheap.1, tier.phase_s);
+            live[tier.si] = !stairs.dominates(corner);
+            any_live |= live[tier.si];
+        }
+        let mut local = Staircase::default();
+        if any_live {
+            // Every live tier's coordinator entries `(tier, t2, e3 + final
+            // cost)`, grouped by tier in coordinator order.
+            entries.clear();
+            for (_, coord) in &recipe.per_coord {
+                let (t2, e3) = (coord.e3.time_s, coord.e3.cost_nanos);
+                let live_edges = coord.final_edges.iter().filter(|&&(si, _)| live[si]);
+                entries.extend(live_edges.map(|&(si, m)| (si, t2, e3 + m.cost_nanos)));
+            }
+            entries.sort_by_key(|e| e.0);
+            let live_tiers = recipe.tiers.iter().filter(|tier| live[tier.si]);
+            for (tier, group) in live_tiers.zip(entries.chunk_by(|a, b| a.0 == b.0)) {
+                debug_assert_eq!(tier.si, group[0].0);
+                let bound = |m, t2, tail| PathPoint::of(m, e2, t2, tail, tier.phase_s);
+                live_mappers.clear();
+                live_mappers.extend(mapper_edges.iter().map(|&(_, m)| m).filter(|&m| {
+                    !stairs.dominates(bound(m, tier.fast.0, tier.cheap.1))
+                }));
+                let Some(least) = live_mappers.iter().copied().reduce(|a, b| EdgeMetrics {
+                    time_s: a.time_s.min(b.time_s),
+                    cost_nanos: a.cost_nanos.min(b.cost_nanos),
+                }) else {
+                    continue;
+                };
+                for &(_, t2, tail) in group {
+                    if stairs.dominates(bound(least, t2, tail)) {
+                        continue;
+                    }
+                    for &m in &live_mappers {
+                        let p = bound(m, t2, tail);
+                        if !stairs.dominates(p) {
+                            local.insert(p);
+                        }
+                    }
+                }
+            }
+            stairs.merge(&local);
+        }
+        candidates.push(local.points().collect());
+    }
+    for points in &mut candidates {
+        points.retain(|&p| !stairs.dominates(p));
+    }
+    (stairs, candidates)
 }
 
 impl PlannerDag {
@@ -829,72 +1244,7 @@ impl PlannerDag {
         cache: &ModelCache<'_>,
         prune: PruneConfig,
     ) -> PlannerDag {
-        // Wall-clock spans per construction pass follow the process-global
-        // telemetry handle (installed by the CLI / experiment binaries);
-        // they are observational only and do not touch the build itself.
-        let tel = astra_telemetry::global();
-        let build_span = tel.wall_span("planner", "dag.build", "planner");
-        let (job, platform) = (cache.job(), cache.platform());
-        job.profile.validate();
-        let coord_compute = coord_compute_per_tier(job, platform, space);
-
-        // Pass 1: mapper edges, parallel over k_M (order-preserving).
-        let col2: Vec<Col2Recipe> = {
-            let mut span = tel.wall_span("planner", "dag.col2", "planner");
-            span.set_parent(build_span.id());
-            space
-                .k_m_values
-                .par_iter()
-                .filter_map(|&k_m| col2_recipe(platform, catalog, space, cache, prune, k_m))
-                .collect()
-        };
-
-        // Pass 2: reduce edges, parallel over the surviving (k_M, k_R)
-        // pairs. Work items are indexed by their column-2 recipe so the
-        // results can be regrouped in order.
-        let col3_flat: Vec<Option<(usize, Col3Recipe)>> = {
-            let mut span = tel.wall_span("planner", "dag.col3", "planner");
-            span.set_parent(build_span.id());
-            let work: Vec<(usize, usize, usize)> = col2
-                .iter()
-                .enumerate()
-                .flat_map(|(ci, r)| {
-                    space
-                        .k_r_candidates(r.j)
-                        .into_iter()
-                        .map(move |k_r| (ci, r.k_m, k_r))
-                })
-                .collect();
-            work.par_iter()
-                .map(|&(ci, k_m, k_r)| {
-                    col3_recipe(platform, catalog, space, cache, &coord_compute, prune, k_m, k_r)
-                        .map(|r| (ci, r))
-                })
-                .collect()
-        };
-
-        let dag = {
-            let mut span = tel.wall_span("planner", "dag.assemble", "planner");
-            span.set_parent(build_span.id());
-            assemble(space, col2, col3_flat)
-        };
-        if tel.enabled() {
-            tel.gauge("planner.dag.nodes", dag.nodes().len() as f64);
-            tel.gauge("planner.dag.edges", dag.soa().edges_stored() as f64);
-            let stats = dag.prune_stats();
-            tel.gauge("planner.dag.pruned_mapper_edges", stats.mapper_edges as f64);
-            tel.gauge(
-                "planner.dag.pruned_coordinator_nodes",
-                stats.coordinator_nodes as f64,
-            );
-            tel.gauge("planner.dag.pruned_reducer_edges", stats.reducer_edges as f64);
-            tel.gauge("planner.dag.edges_stored", dag.soa().edges_stored() as f64);
-            tel.gauge(
-                "planner.dag.bundles_collapsed",
-                dag.soa().bundles_collapsed() as f64,
-            );
-        }
-        dag
+        Self::construct(catalog, space, cache, prune, true)
     }
 
     /// Single-threaded reference construction: runs the same recipe
@@ -918,42 +1268,93 @@ impl PlannerDag {
         space: &ConfigSpace,
         prune: PruneConfig,
     ) -> PlannerDag {
-        job.profile.validate();
         let cache = ModelCache::new(job, platform);
+        Self::construct(catalog, space, &cache, prune, false)
+    }
+
+    /// The one construction routine; `parallel` picks rayon or plain
+    /// iterators for the recipe passes, which are order-preserving either
+    /// way.
+    fn construct(
+        catalog: &PriceCatalog,
+        space: &ConfigSpace,
+        cache: &ModelCache<'_>,
+        prune: PruneConfig,
+        parallel: bool,
+    ) -> PlannerDag {
+        // Wall-clock spans per construction pass follow the process-global
+        // telemetry handle (installed by the CLI / experiment binaries);
+        // they are observational only and do not touch the build itself.
+        let tel = astra_telemetry::global();
+        let build_span = tel.wall_span("planner", "dag.build", "planner");
+        let (job, platform) = (cache.job(), cache.platform());
+        job.profile.validate();
         let coord_compute = coord_compute_per_tier(job, platform, space);
 
-        let col2: Vec<Col2Recipe> = space
-            .k_m_values
-            .iter()
-            .filter_map(|&k_m| col2_recipe(platform, catalog, space, &cache, prune, k_m))
-            .collect();
-        let col3_flat: Vec<Option<(usize, Col3Recipe)>> = col2
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, r)| {
-                space
-                    .k_r_candidates(r.j)
-                    .into_iter()
-                    .map(move |k_r| (ci, r.k_m, k_r))
+        // Pass 1: mapper edges per k_M.
+        let col2: Vec<Col2Recipe> = {
+            let mut span = tel.wall_span("planner", "dag.col2", "planner");
+            span.set_parent(build_span.id());
+            ordered_map(&space.k_m_values, parallel, |&k_m| {
+                col2_recipe(platform, catalog, space, cache, prune, k_m)
             })
-            .collect::<Vec<_>>()
             .into_iter()
-            .map(|(ci, k_m, k_r)| {
-                col3_recipe(
-                    platform,
-                    catalog,
-                    space,
-                    &cache,
-                    &coord_compute,
-                    prune,
-                    k_m,
-                    k_r,
-                )
-                .map(|r| (ci, r))
-            })
-            .collect();
+            .flatten()
+            .collect()
+        };
 
-        assemble(space, col2, col3_flat)
+        // Pass 2: reduce edges per (k_M, k_R) pair, as `(column-2 recipe
+        // index, k_M, k_R)` work items in assembly order.
+        let (col2, col3, stats) = {
+            let mut span = tel.wall_span("planner", "dag.col3", "planner");
+            span.set_parent(build_span.id());
+            let work: Vec<(usize, usize, usize)> = col2
+                .iter()
+                .enumerate()
+                .flat_map(|(ci, r)| {
+                    space
+                        .k_r_candidates(r.j)
+                        .into_iter()
+                        .map(move |k_r| (ci, r.k_m, k_r))
+                })
+                .collect();
+            let frame = |&(_, k_m, k_r): &(usize, usize, usize)| {
+                pair_frame(platform, catalog, space, cache, &coord_compute, k_m, k_r)
+            };
+            if prune.pareto_tiers {
+                frontier_col3(platform, catalog, space, col2, &work, frame, parallel)
+            } else {
+                let col3 = ordered_map(&work, parallel, |w| {
+                    frame(w).map(|f| (w.0, price_pair(platform, catalog, space, f, prune)))
+                });
+                (col2, col3.into_iter().flatten().collect(), PruneStats::default())
+            }
+        };
+
+        let dag = {
+            let mut span = tel.wall_span("planner", "dag.assemble", "planner");
+            span.set_parent(build_span.id());
+            assemble(space, col2, col3, stats)
+        };
+        if tel.enabled() {
+            tel.gauge("planner.dag.nodes", dag.nodes().len() as f64);
+            tel.gauge("planner.dag.edges", dag.soa().edges_stored() as f64);
+            let stats = dag.prune_stats();
+            tel.gauge("planner.dag.pruned_mapper_edges", stats.mapper_edges as f64);
+            tel.gauge(
+                "planner.dag.pruned_coordinator_nodes",
+                stats.coordinator_nodes as f64,
+            );
+            tel.gauge("planner.dag.pruned_reducer_edges", stats.reducer_edges as f64);
+            tel.gauge("planner.dag.pruned_pairs", stats.pair_subtrees as f64);
+            tel.gauge("planner.dag.pairs_unpriced", stats.pairs_unpriced as f64);
+            tel.gauge("planner.dag.edges_stored", dag.soa().edges_stored() as f64);
+            tel.gauge(
+                "planner.dag.bundles_collapsed",
+                dag.soa().bundles_collapsed() as f64,
+            );
+        }
+        dag
     }
 
     /// Node labels: node `v`'s choice is `nodes()[v]`.
@@ -1049,6 +1450,133 @@ fn coord_compute_per_tier(job: &JobSpec, platform: &Platform, space: &ConfigSpac
         .collect()
 }
 
+/// `items.map(f)` in input order, on rayon's pool or on this thread.
+fn ordered_map<T: Sync, U: Send>(
+    items: &[T],
+    parallel: bool,
+    f: impl Fn(&T) -> U + Sync + Send,
+) -> Vec<U> {
+    if parallel {
+        items.par_iter().map(f).collect()
+    } else {
+        items.iter().map(f).collect()
+    }
+}
+
+/// Column 3 under pruning (module docs, "Dominance pruning"). Each
+/// `k_M`'s seed pairs (its first and last `k_R` candidate: `k_R = 2` and
+/// the single-step pair) are priced in full and give an incumbent
+/// staircase; every other pair is either certified dead against it by
+/// [`certified_dead`] or priced. Kept are exactly the priced pairs with
+/// a path that no priced path dominates; a `k_M` left with no kept pair
+/// is dropped with its mapper edges. Returns the surviving column-2
+/// recipes, the kept pairs (indexed into them) in `work` order, and the
+/// pair tallies.
+fn frontier_col3(
+    platform: &Platform,
+    catalog: &PriceCatalog,
+    space: &ConfigSpace,
+    col2: Vec<Col2Recipe>,
+    work: &[(usize, usize, usize)],
+    frame: impl Fn(&(usize, usize, usize)) -> Option<PairFrame> + Sync + Send,
+    parallel: bool,
+) -> (Vec<Col2Recipe>, Vec<(usize, Col3Recipe)>, PruneStats) {
+    /// What became of a non-seed pair.
+    enum Outcome {
+        /// No frame: the pair breaks an Eq. 18 cap.
+        Infeasible,
+        /// Dominated by the seeds' staircase before pricing.
+        Certified,
+        Priced(Col3Recipe),
+    }
+    let (prune, t) = (PruneConfig::on(), space.memory_tiers_mb.len());
+    let mappers = |wi: usize| col2[work[wi].0].mapper_edges.as_slice();
+    let (seeds, rest): (Vec<usize>, Vec<usize>) = (0..work.len()).partition(|&wi| {
+        let ci = work[wi].0;
+        wi == 0 || work[wi - 1].0 != ci || wi + 1 == work.len() || work[wi + 1].0 != ci
+    });
+
+    let seeds: Vec<(usize, Col3Recipe)> = ordered_map(&seeds, parallel, |&wi| {
+        frame(&work[wi]).map(|f| (wi, price_pair(platform, catalog, space, f, prune)))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    let pairs: Vec<_> = seeds.iter().map(|(wi, r)| (r, mappers(*wi))).collect();
+    let (seed_stairs, seed_points) = frontier_pass(&Staircase::default(), &pairs, t);
+
+    let rest: Vec<(usize, Outcome)> = ordered_map(&rest, parallel, |&wi| {
+        let outcome = match frame(&work[wi]) {
+            None => Outcome::Infeasible,
+            Some(f) if certified_dead(platform, catalog, space, &f, mappers(wi), &seed_stairs) => {
+                Outcome::Certified
+            }
+            Some(f) => Outcome::Priced(price_pair(platform, catalog, space, f, prune)),
+        };
+        (wi, outcome)
+    });
+    let priced: Vec<(usize, &Col3Recipe)> = rest
+        .iter()
+        .filter_map(|(wi, o)| match o {
+            Outcome::Priced(r) => Some((*wi, r)),
+            _ => None,
+        })
+        .collect();
+    let pairs: Vec<_> = priced.iter().map(|&(wi, r)| (r, mappers(wi))).collect();
+    let (stairs, rest_points) = frontier_pass(&seed_stairs, &pairs, t);
+
+    // Which work items keep their subtree.
+    let mut kept = vec![false; work.len()];
+    for ((wi, _), points) in seeds.iter().zip(&seed_points) {
+        kept[*wi] = points.iter().any(|&p| !stairs.dominates(p));
+    }
+    for ((wi, _), points) in priced.iter().zip(&rest_points) {
+        kept[*wi] = !points.is_empty();
+    }
+    let mut stats = PruneStats {
+        pairs_unpriced: rest
+            .iter()
+            .filter(|(_, o)| matches!(o, Outcome::Certified))
+            .count(),
+        ..PruneStats::default()
+    };
+    let mut recipes: Vec<Option<Col3Recipe>> = (0..work.len()).map(|_| None).collect();
+    let rest = rest.into_iter().filter_map(|(wi, o)| match o {
+        Outcome::Priced(r) => Some((wi, r)),
+        _ => None,
+    });
+    for (wi, recipe) in seeds.into_iter().chain(rest) {
+        if kept[wi] {
+            recipes[wi] = Some(recipe);
+        } else {
+            stats.pair_subtrees += 1;
+        }
+    }
+    stats.pair_subtrees += stats.pairs_unpriced;
+
+    // Drop every k_M left without a pair, renumbering the survivors.
+    let mut has_pair = vec![false; col2.len()];
+    for (wi, r) in recipes.iter().enumerate() {
+        has_pair[work[wi].0] |= r.is_some();
+    }
+    let mut new_index = vec![usize::MAX; col2.len()];
+    let mut kept_col2 = Vec::with_capacity(col2.len());
+    for (ci, r) in col2.into_iter().enumerate() {
+        if has_pair[ci] {
+            new_index[ci] = kept_col2.len();
+            kept_col2.push(r);
+        } else {
+            stats.mapper_edges += r.mapper_edges.len() + r.pruned_edges;
+        }
+    }
+    let col3 = recipes
+        .into_iter()
+        .enumerate()
+        .filter_map(|(wi, r)| r.map(|r| (new_index[work[wi].0], r)))
+        .collect();
+    (kept_col2, col3, stats)
+}
+
 /// Assemble the DAG from collected recipes. This is the single
 /// authority on node/edge order: columns 1 and 5 in tier order, column 2
 /// in `k_m_values` order (mapper edges grouped per `k_M`, in tier
@@ -1058,7 +1586,8 @@ fn coord_compute_per_tier(job: &JobSpec, platform: &Platform, space: &ConfigSpac
 fn assemble(
     space: &ConfigSpace,
     col2: Vec<Col2Recipe>,
-    col3_flat: Vec<Option<(usize, Col3Recipe)>>,
+    col3: Vec<(usize, Col3Recipe)>,
+    mut prune_stats: PruneStats,
 ) -> PlannerDag {
     let tiers = &space.memory_tiers_mb;
     // Pre-size the store: at production N the DAG holds >10^6 edges and
@@ -1068,7 +1597,7 @@ fn assemble(
         nodes += 1;
         edges += r.mapper_edges.len();
     }
-    for (_, recipe) in col3_flat.iter().flatten() {
+    for (_, recipe) in &col3 {
         if recipe.per_coord.is_empty() {
             continue;
         }
@@ -1104,7 +1633,6 @@ fn assemble(
         })
         .collect();
 
-    let mut prune_stats = PruneStats::default();
     let col2_nodes: Vec<u32> = col2
         .iter()
         .map(|r| {
@@ -1118,7 +1646,7 @@ fn assemble(
         .collect();
 
     let j_of_k_m: HashMap<usize, usize> = col2.iter().map(|r| (r.k_m, r.j)).collect();
-    for (ci, recipe) in col3_flat.into_iter().flatten() {
+    for (ci, recipe) in col3 {
         prune_stats.coordinator_nodes += recipe.pruned_coords;
         prune_stats.reducer_edges += recipe.pruned_final_edges;
         if recipe.per_coord.is_empty() {
@@ -1439,6 +1967,44 @@ mod tests {
         }
     }
 
+    #[test]
+    fn staircase_answers_dominance_exactly() {
+        // xorshift64 over a coarse grid, so equal times, equal costs,
+        // margin-width gaps and duplicates all occur.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for case in 0..500 {
+            let mut point = || PathPoint {
+                time_s: 10.0 + next(8) as f64 * 0.5e-9 + next(4) as f64,
+                cost_nanos: next(12) as i64,
+            };
+            let points: Vec<PathPoint> = (0..1 + case % 40).map(|_| point()).collect();
+            let mut inserted = Staircase::default();
+            points.iter().for_each(|&p| inserted.insert(p));
+            let mut extended = Staircase::default();
+            extended.extend(points.clone());
+            let (mut merged, mut half) = (Staircase::default(), Staircase::default());
+            let mid = points.len() / 2;
+            merged.extend(points[..mid].to_vec());
+            points[mid..].iter().for_each(|&p| half.insert(p));
+            merged.merge(&half);
+            let built = [("insert", &inserted), ("extend", &extended), ("merge", &merged)];
+            for q in (0..64).map(|_| point()) {
+                let brute = points.iter().any(|p| {
+                    p.time_s + PATH_TIME_MARGIN_S < q.time_s && p.cost_nanos < q.cost_nanos
+                });
+                for (name, s) in built {
+                    assert_eq!(s.dominates(q), brute, "case {case}, {name}: {q:?} over {points:?}");
+                }
+            }
+        }
+    }
+
     /// FNV-1a, 64-bit: a fixed hash (unlike `DefaultHasher`, whose
     /// algorithm may change between toolchains) for golden digests.
     struct Fnv(u64);
@@ -1529,18 +2095,11 @@ mod tests {
         }
     }
 
-    /// Everything a build decides, hashed: node labels, every edge's
+    /// The store half of a build, hashed: node labels, every edge's
     /// endpoints and metric bits in assembly (edge id) order, the prune
-    /// tallies, every `SoaEdges` array (the topological order included),
-    /// and the (cost, JCT bits) of the fastest, cheapest, a mid-band
-    /// budget and a mid-band deadline plan.
-    fn dag_digest(
-        h: &mut Fnv,
-        dag: &PlannerDag,
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-    ) {
+    /// tallies, and every `SoaEdges` array (the topological order
+    /// included).
+    fn store_digest(h: &mut Fnv, dag: &PlannerDag) {
         let soa = dag.soa();
         h.u64(dag.nodes().len() as u64);
         for &choice in dag.nodes() {
@@ -1574,7 +2133,13 @@ mod tests {
             }
         }
         let s = dag.prune_stats();
-        for w in [s.mapper_edges, s.coordinator_nodes, s.reducer_edges] {
+        for w in [
+            s.mapper_edges,
+            s.coordinator_nodes,
+            s.reducer_edges,
+            s.pair_subtrees,
+            s.pairs_unpriced,
+        ] {
             h.u64(w as u64);
         }
         h.u32s(&soa.offsets);
@@ -1584,7 +2149,19 @@ mod tests {
         soa.costs.iter().for_each(|&c| h.u64(c as u64));
         h.u32s(&soa.multiplicity);
         h.u32s(&soa.topo);
+    }
 
+    /// The answer half of a build, hashed: the potential-guided ExactCsp
+    /// plan for the fastest, cheapest, a mid-band budget and a mid-band
+    /// deadline objective, each as its configuration, cost nanos and JCT
+    /// bits.
+    fn answer_digest(
+        h: &mut Fnv,
+        dag: &PlannerDag,
+        job: &JobSpec,
+        platform: &Platform,
+        catalog: &PriceCatalog,
+    ) {
         let potentials = crate::solver::PlannerPotentials::compute(dag);
         let telemetry = astra_telemetry::Telemetry::disabled();
         let answer = |objective| {
@@ -1597,14 +2174,23 @@ mod tests {
             )
             .map(|config| {
                 let ev = evaluate(job, platform, &config, catalog).expect("planned config");
-                (ev.total_cost().nanos(), ev.jct_s())
+                (config, ev.total_cost().nanos(), ev.jct_s())
             })
         };
-        let mut hash_answer = |a: Option<(i128, f64)>| match a {
+        let mut hash_answer = |a: Option<(JobConfig, i128, f64)>| match a {
             None => h.u64(u64::MAX),
-            Some((cost, jct)) => {
-                h.u64(cost as u64);
-                h.u64(jct.to_bits());
+            Some((c, cost, jct)) => {
+                for w in [
+                    c.mapper_mem_mb as u64,
+                    c.coordinator_mem_mb as u64,
+                    c.reducer_mem_mb as u64,
+                    c.objects_per_mapper as u64,
+                    c.objects_per_reducer as u64,
+                    cost as u64,
+                    jct.to_bits(),
+                ] {
+                    h.u64(w);
+                }
             }
         };
         let fastest = answer(crate::Objective::fastest());
@@ -1612,55 +2198,121 @@ mod tests {
         hash_answer(fastest);
         hash_answer(cheapest);
         if let (Some(f), Some(c)) = (fastest, cheapest) {
-            let budget = Money::from_nanos((f.0 + c.0) / 2);
+            let budget = Money::from_nanos((f.1 + c.1) / 2);
             hash_answer(answer(crate::Objective::MinimizeTime { budget }));
-            let deadline_s = 0.5 * (f.1 + c.1);
+            let deadline_s = 0.5 * (f.2 + c.2);
             hash_answer(answer(crate::Objective::MinimizeCost { deadline_s }));
         }
     }
 
     const GOLDEN_NS: [usize; 7] = [1, 2, 7, 10, 37, 60, 120];
 
-    /// FNV-1a digests of [`dag_digest`] per (platform pair, N), folded
-    /// over 3 profiles × uniform/jittered sizes × full/bundled space ×
-    /// prune on/off, recorded from the two-pass reference construction
-    /// (per-coordinator edge vectors, memoized tier times, an arena graph
-    /// with the CSR store copied from its lists). Any change to a node,
-    /// edge, metric bit, prune tally, store slot or answer changes a
-    /// digest.
-    const GOLDEN_DIGESTS: [[u64; 7]; 3] = [
+    /// FNV-1a digests per (platform pair, N), each folded over 3
+    /// profiles × uniform/jittered sizes × full/bundled space. Any change
+    /// to a node, edge, metric bit, prune tally or store slot moves a
+    /// store digest; any change to an answer moves an answer digest.
+    ///
+    /// [`store_digest`] of the pruned builds, re-recorded when pair
+    /// subtrees started to be dropped (the point of that change).
+    const GOLDEN_PRUNED_STORE_DIGESTS: [[u64; 7]; 3] = [
         [
-            0x5368_1968_85b6_ad3d,
-            0x6bf2_4e5e_4388_fe11,
-            0xabb5_4921_199c_90f5,
-            0xcfc5_05ef_06a4_7b81,
-            0x2497_6226_4a54_5930,
-            0xad6f_63b2_4f9b_01ff,
-            0x75c7_988c_7116_87f0,
+            0x9642_db9e_e1ef_6ced,
+            0x1885_559d_5c5e_df81,
+            0x0cc1_f76d_d8e9_e862,
+            0x7530_cd92_c079_a00e,
+            0xcc3c_5c9c_f4bb_10e0,
+            0xf6ff_4cd6_5f9c_4051,
+            0x162a_e733_b25f_8113,
         ],
         [
-            0xdfef_c3b4_63d8_1b15,
-            0xd652_0388_ba0f_e6dd,
-            0x76b2_bb74_ff8d_d6f4,
-            0x8a97_2c22_f38c_2b11,
-            0x5503_80c4_f3c6_2e7f,
-            0x201a_d719_aed4_9266,
-            0xed9c_afc2_282a_91c8,
+            0x4dd7_5a76_8739_0555,
+            0x32a3_5a0a_c4d3_fc3d,
+            0x556d_6e71_f053_1918,
+            0xfa56_f284_d575_e3b1,
+            0xbd50_c5ce_09fc_2a53,
+            0x82fb_040e_7ef2_af91,
+            0x2b2e_7e87_7bea_c1af,
         ],
         [
-            0x5811_6cad_df18_c509,
-            0xa229_d8f4_09eb_4505,
-            0x3a89_cf65_0bff_ed4d,
-            0x7640_240e_b230_f247,
-            0x3152_5da1_c189_ee73,
-            0x5c46_362b_4ba7_61eb,
-            0xd728_ad90_488d_7908,
+            0x385c_913c_7939_a959,
+            0xb44a_8748_9a21_cbcd,
+            0x1411_95e2_91fc_ab30,
+            0x8c7a_ca0f_0f05_c4f0,
+            0x026b_6a57_a8a9_9393,
+            0x17ca_d712_b79a_f035,
+            0x79e5_46d9_9f72_47d4,
         ],
     ];
 
-    fn golden_digest(pi: usize, n: usize) -> u64 {
+    /// [`store_digest`] of the unpruned builds, recorded before pair
+    /// subtrees were dropped and unchanged since.
+    const GOLDEN_UNPRUNED_STORE_DIGESTS: [[u64; 7]; 3] = [
+        [
+            0xa526_71cc_8872_5365,
+            0x3803_0c08_3fe7_7a95,
+            0xddcc_c2c0_f6bd_7f91,
+            0x7bf6_2a09_495b_84e9,
+            0x8258_92be_6b06_3aa8,
+            0xbdf3_da93_ae4a_6030,
+            0x4384_9e38_9478_b32f,
+        ],
+        [
+            0x6f4f_4dfa_c564_3025,
+            0xe46c_7685_19ec_4d7d,
+            0xa3a3_5e42_ded1_64ed,
+            0x8bdc_7cfa_568c_85dd,
+            0xedbe_8e48_44d3_238d,
+            0xbeb5_49f9_9f58_705e,
+            0x6a41_82b8_b9a3_de37,
+        ],
+        [
+            0x5573_e72f_7c7d_9ac5,
+            0xadb5_8b7d_ba97_794d,
+            0x5242_25d2_fe9a_3765,
+            0x9589_c5d0_e20b_79f9,
+            0x7757_dcff_c28b_4337,
+            0x8f17_efd2_3596_bc95,
+            0xa517_b0d1_da41_5021,
+        ],
+    ];
+
+    /// [`answer_digest`] of the pruned and the unpruned builds, recorded
+    /// before pair subtrees were dropped and unchanged since.
+    const GOLDEN_ANSWER_DIGESTS: [[u64; 7]; 3] = [
+        [
+            0x76a9_e2f3_aa3d_b5ed,
+            0x5f14_264c_b85b_cac5,
+            0x5341_2b86_f28a_63dd,
+            0xac63_8f24_9419_867d,
+            0x6643_efee_0ecc_1845,
+            0x2b0f_de01_785f_2259,
+            0x4e31_4c69_c4ae_d245,
+        ],
+        [
+            0xe412_70e1_4390_2895,
+            0x2d39_6b26_24e5_03ed,
+            0xa991_76d7_9a1d_c215,
+            0xba3c_570b_3e3a_6545,
+            0x6fcd_6d89_26f1_7555,
+            0xc26a_c3b3_fa6e_3d9d,
+            0x7ec5_8eab_b118_cb31,
+        ],
+        [
+            0xbba9_20a1_a345_295d,
+            0x5d06_9514_a296_5dfd,
+            0x1795_33a9_2ccc_dcfd,
+            0x290c_5fe7_99a9_11ad,
+            0x7978_f34f_a31e_2bad,
+            0x6b2e_63fa_b6e5_8681,
+            0xaa49_7456_66e2_d069,
+        ],
+    ];
+
+    /// `[pruned store, unpruned store, answers]` digests for one
+    /// (platform pair, N).
+    fn golden_digests(pi: usize, n: usize) -> [u64; 3] {
         let (platform, catalog) = &golden_platforms()[pi];
-        let mut h = Fnv::new();
+        let [mut pruned, mut unpruned, mut answers] = [Fnv::new(), Fnv::new(), Fnv::new()];
         for profile in &golden_profiles() {
             for jitter in [false, true] {
                 let job = golden_job(n, profile, jitter);
@@ -1668,30 +2320,45 @@ mod tests {
                     ConfigSpace::full(&job, platform),
                     ConfigSpace::bundled(&job, platform),
                 ] {
-                    for prune in [PruneConfig::on(), PruneConfig::off()] {
+                    for (prune, store) in [
+                        (PruneConfig::on(), &mut pruned),
+                        (PruneConfig::off(), &mut unpruned),
+                    ] {
                         let dag = PlannerDag::build_with(&job, platform, catalog, &space, prune);
-                        dag_digest(&mut h, &dag, &job, platform, catalog);
+                        store_digest(store, &dag);
+                        answer_digest(&mut answers, &dag, &job, platform, catalog);
                     }
                 }
             }
         }
-        h.0
+        [pruned.0, unpruned.0, answers.0]
     }
 
-    /// Compare one platform's row of [`GOLDEN_DIGESTS`], reporting every
-    /// moved digest (and the whole recomputed row) at once.
+    /// Compare one platform's row of the three golden tables, reporting
+    /// every moved digest (and each recomputed row) at once.
     fn check_golden_row(pi: usize) {
-        let got: Vec<u64> = GOLDEN_NS.iter().map(|&n| golden_digest(pi, n)).collect();
-        let moved: Vec<usize> = GOLDEN_NS
-            .iter()
-            .zip(got.iter().zip(&GOLDEN_DIGESTS[pi]))
-            .filter(|(_, (g, want))| g != want)
-            .map(|(&n, _)| n)
-            .collect();
-        assert!(
-            moved.is_empty(),
-            "platform {pi}: DAG digests moved at N = {moved:?}; recomputed row: {got:#018x?}"
-        );
+        let got: Vec<[u64; 3]> = GOLDEN_NS.iter().map(|&n| golden_digests(pi, n)).collect();
+        let tables = [
+            ("pruned store", &GOLDEN_PRUNED_STORE_DIGESTS[pi]),
+            ("unpruned store", &GOLDEN_UNPRUNED_STORE_DIGESTS[pi]),
+            ("answer", &GOLDEN_ANSWER_DIGESTS[pi]),
+        ];
+        let mut moved = Vec::new();
+        for (k, (name, table)) in tables.iter().enumerate() {
+            let row: Vec<u64> = got.iter().map(|d| d[k]).collect();
+            let at: Vec<usize> = GOLDEN_NS
+                .iter()
+                .zip(row.iter().zip(table.iter()))
+                .filter(|(_, (g, w))| g != w)
+                .map(|(&n, _)| n)
+                .collect();
+            if !at.is_empty() {
+                moved.push(format!(
+                    "{name} digests moved at N = {at:?}; recomputed: {row:#018x?}"
+                ));
+            }
+        }
+        assert!(moved.is_empty(), "platform {pi}:\n{}", moved.join("\n"));
     }
 
     #[test]

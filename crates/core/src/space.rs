@@ -43,25 +43,27 @@ impl ConfigSpace {
         }
     }
 
-    /// The production-scale space: every memory tier, but partitioning
+    /// The production-scale space, an **approximation** of
+    /// [`ConfigSpace::full`]: every memory tier, but partitioning
     /// candidates collapsed into bundles so the DAG stays sub-second at
-    /// `N = 10^5`–`10^6` objects.
+    /// `N = 10^5`–`10^6` objects. Its optimum is never better than the
+    /// full space's and can be worse (`bundled_space_is_approximate` in
+    /// `tests/prune_equivalence.rs` pins two such inputs).
     ///
     /// Two collapses, applied on top of [`ConfigSpace::full`]:
     ///
     /// * **`k_M` classes.** All raw `k_M` values that yield the same
     ///   mapper count `j = ceil(N/k_M)` form one class; the class is
     ///   represented by its smallest member (the most balanced
-    ///   partition) and carries the class size in `k_m_weights`. The
-    ///   planner's observable outputs are parameterized by `j`, so one
-    ///   representative per degree of parallelism covers every distinct
-    ///   fan-out the full space can express.
+    ///   partition) and carries the class size in `k_m_weights`. Members
+    ///   of a class differ in skew (`(k_M, …, k_M, remainder)` splits),
+    ///   so a dropped member can be the full space's optimum.
     /// * **`k_R` ladder.** Instead of every value in `2..=N`, a
     ///   geometric ladder (powers of four, plus the maximum useful
     ///   value). Per `j`, [`k_r_candidates`](Self::k_r_candidates) still
     ///   clamps and deduplicates, so every ladder rung above `j`
     ///   collapses onto the exact single-step bundle `k_R = j` just as
-    ///   the raw `j..=N` range would.
+    ///   the raw `j..=N` range would; the rungs below skip values.
     ///
     /// The SoA edge store records the class sizes as edge
     /// multiplicities; `planner.dag.bundles_collapsed` reports how many

@@ -3,9 +3,10 @@
 //! Two families:
 //!
 //! * **Collapsed-DAG equivalence at scale.** The bundled configuration
-//!   space plus the accelerated solver path (dominance-pruned SoA DAG +
-//!   backward potentials) must answer bit-identically to the unpruned
-//!   plain CSP over the same space — checked on a restricted tier slice
+//!   space (itself an approximation of the full space) plus the
+//!   accelerated solver path (dominance-pruned SoA DAG + backward
+//!   potentials) must answer bit-identically to the unpruned plain CSP
+//!   over the same bundled space — checked on a restricted tier slice
 //!   at `N = 10^4` on every push, and on the full 46-tier space at
 //!   `N = 10^5` behind `--ignored` (CI runs it in release as the
 //!   production-scale smoke, with a wall-clock budget).
