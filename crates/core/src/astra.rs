@@ -5,14 +5,11 @@ use astra_pricing::PriceCatalog;
 
 use astra_telemetry::Telemetry;
 
-use crate::cache::ModelCache;
 use crate::dag::{PlannerDag, PruneConfig};
 use crate::objective::Objective;
 use crate::plan::Plan;
 use crate::session::{effective_prune, PlannerSession};
-use crate::solver::{
-    solve_exhaustive_with_telemetry, solve_on_dag_with_potentials, PlannerPotentials, Strategy,
-};
+use crate::solver::Strategy;
 use crate::space::ConfigSpace;
 
 /// Why planning failed.
@@ -142,72 +139,23 @@ impl Astra {
         self.plan_with_space(job, objective, &space)
     }
 
-    /// Plan over a restricted configuration space (tests, ablations).
+    /// Plan over a restricted configuration space (tests, ablations):
+    /// one [`Astra::session_with_space`] answering one query.
     ///
-    /// When telemetry is enabled the whole request is wrapped in a
-    /// wall-clock `plan` span with nested DAG-build and solve phases,
-    /// plus model-cache hit/miss counters — all observational; the plan
-    /// is bit-identical with telemetry on or off.
+    /// When telemetry is enabled the request is wrapped in a wall-clock
+    /// `plan` span and counted in `planner.plans`. The session's own
+    /// `session.build` and `session.solve` spans are siblings of `plan`
+    /// that fall inside its interval, not its children. All of it is
+    /// observational; the plan is bit-identical with telemetry on or off.
     pub fn plan_with_space(
         &self,
         job: &JobSpec,
         objective: Objective,
         space: &ConfigSpace,
     ) -> Result<Plan, PlanError> {
-        let plan_span = self.telemetry.wall_span("planner", "plan", "planner");
-        let config = match self.strategy {
-            Strategy::Exhaustive => solve_exhaustive_with_telemetry(
-                job,
-                &self.platform,
-                &self.catalog,
-                space,
-                objective,
-                &self.telemetry,
-            ),
-            _ => {
-                let cache = ModelCache::new(job, &self.platform);
-                let dag = {
-                    let mut span = self.telemetry.wall_span("planner", "build_dag", "planner");
-                    span.set_parent(plan_span.id());
-                    PlannerDag::build_with_cache(
-                        &self.catalog,
-                        space,
-                        &cache,
-                        effective_prune(self.prune, self.strategy),
-                    )
-                };
-                let solved = {
-                    let mut span = self.telemetry.wall_span("planner", "solve", "planner");
-                    span.set_parent(plan_span.id());
-                    // One extra reverse-topological sweep buys the
-                    // A*-guided, bound-pruned label search (and, for
-                    // Algorithm 1, guided Dijkstra in every edge-removal
-                    // round).
-                    let potentials = PlannerPotentials::compute(&dag);
-                    solve_on_dag_with_potentials(
-                        &dag,
-                        &potentials,
-                        objective,
-                        self.strategy,
-                        &self.telemetry,
-                    )
-                };
-                if self.telemetry.enabled() {
-                    let stats = cache.stats();
-                    self.telemetry.counter("planner.cache.hits", stats.hits);
-                    self.telemetry.counter("planner.cache.misses", stats.misses);
-                    self.telemetry
-                        .gauge("planner.cache.entries", stats.entries as f64);
-                    self.telemetry
-                        .gauge("planner.cache.hit_rate", stats.hit_rate());
-                    self.telemetry.counter("planner.plans", 1);
-                }
-                solved
-            }
-        }
-        .ok_or(PlanError::NoFeasiblePlan { objective })?;
-        Plan::evaluate(job, &self.platform, &self.catalog, config.into())
-            .map_err(PlanError::Internal)
+        let _span = self.telemetry.wall_span("planner", "plan", "planner");
+        self.telemetry.counter("planner.plans", 1);
+        self.session_with_space(job, space).plan(objective)
     }
 
     /// Build (and return) the planner DAG for `job` — exposed for

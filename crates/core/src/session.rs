@@ -14,7 +14,9 @@
 //! A session is immutable once built: new inputs mean a new session.
 //! Re-quoting a revised job is a lookup in the service's session cache,
 //! which hits for an identical (or merely renamed) spec and otherwise
-//! builds one session cold.
+//! builds one session cold. The service asks each session once per job,
+//! at admission; the answer memo only serves callers that repeat a
+//! query (frontier sweeps, the benchmark's replay).
 
 use std::collections::BTreeMap;
 
@@ -71,8 +73,10 @@ pub struct PlannerSession {
     space: ConfigSpace,
     strategy: Strategy,
     telemetry: Telemetry,
-    dag: PlannerDag,
-    potentials: PlannerPotentials,
+    /// The DAG and its backward potentials; `None` for
+    /// [`Strategy::Exhaustive`], which sweeps the space and never reads
+    /// them.
+    dag: Option<(PlannerDag, PlannerPotentials)>,
     /// Solved `(objective, bounds) → answer` memo (see `AnswerMemo`).
     memo: Mutex<AnswerMemo>,
 }
@@ -103,13 +107,16 @@ struct AnswerMemo {
     infeasible_below_deadline: Option<u64>,
 }
 
+const NO_DAG: &str = "an exhaustive session builds no DAG";
+
 /// Cap on stored answers per objective family; the maps reset past it
 /// (frontier sweeps store a few dozen, so this never fires in practice).
 const MEMO_CAP: usize = 4096;
 
 impl PlannerSession {
     /// Build a session: one DAG construction (pruned per the
-    /// strategy's `effective_prune`) plus one backward-potential sweep.
+    /// strategy's `effective_prune`) plus one backward-potential sweep,
+    /// or neither for [`Strategy::Exhaustive`].
     pub fn new(
         job: &JobSpec,
         platform: Platform,
@@ -139,17 +146,33 @@ impl PlannerSession {
         telemetry: Telemetry,
     ) -> PlannerSession {
         let span = telemetry.wall_span("planner", "session.build", "planner");
-        let dag = {
-            let mut s = telemetry.wall_span("planner", "build_dag", "planner");
-            s.set_parent(span.id());
-            let cache = ModelCache::new(job, &platform);
-            PlannerDag::build_with_cache(&catalog, &space, &cache, effective_prune(prune, strategy))
-        };
-        let potentials = {
-            let mut s = telemetry.wall_span("planner", "potentials", "planner");
-            s.set_parent(span.id());
-            PlannerPotentials::compute(&dag)
-        };
+        let dag = (strategy != Strategy::Exhaustive).then(|| {
+            let dag = {
+                let mut s = telemetry.wall_span("planner", "build_dag", "planner");
+                s.set_parent(span.id());
+                let cache = ModelCache::new(job, &platform);
+                let dag = PlannerDag::build_with_cache(
+                    &catalog,
+                    &space,
+                    &cache,
+                    effective_prune(prune, strategy),
+                );
+                if telemetry.enabled() {
+                    let stats = cache.stats();
+                    telemetry.counter("planner.cache.hits", stats.hits);
+                    telemetry.counter("planner.cache.misses", stats.misses);
+                    telemetry.gauge("planner.cache.entries", stats.entries as f64);
+                    telemetry.gauge("planner.cache.hit_rate", stats.hit_rate());
+                }
+                dag
+            };
+            let potentials = {
+                let mut s = telemetry.wall_span("planner", "potentials", "planner");
+                s.set_parent(span.id());
+                PlannerPotentials::compute(&dag)
+            };
+            (dag, potentials)
+        });
         PlannerSession {
             job: job.clone(),
             platform,
@@ -158,7 +181,6 @@ impl PlannerSession {
             strategy,
             telemetry,
             dag,
-            potentials,
             memo: Mutex::new(AnswerMemo::default()),
         }
     }
@@ -245,8 +267,8 @@ impl PlannerSession {
     }
 
     fn solve_uncached(&self, objective: Objective) -> Option<JobConfig> {
-        match self.strategy {
-            Strategy::Exhaustive => solve_exhaustive_with_telemetry(
+        match &self.dag {
+            None => solve_exhaustive_with_telemetry(
                 &self.job,
                 &self.platform,
                 &self.catalog,
@@ -254,11 +276,11 @@ impl PlannerSession {
                 objective,
                 &self.telemetry,
             ),
-            _ => {
+            Some((dag, potentials)) => {
                 let _span = self.telemetry.wall_span("planner", "session.solve", "planner");
                 solve_on_dag_with_potentials(
-                    &self.dag,
-                    &self.potentials,
+                    dag,
+                    potentials,
                     objective,
                     self.strategy,
                     &self.telemetry,
@@ -334,14 +356,16 @@ impl PlannerSession {
         self.strategy
     }
 
-    /// The session's DAG (built once at construction).
+    /// The session's DAG (built once at construction). Panics for a
+    /// [`Strategy::Exhaustive`] session, which builds none.
     pub fn dag(&self) -> &PlannerDag {
-        &self.dag
+        &self.dag.as_ref().expect(NO_DAG).0
     }
 
-    /// The session's backward potentials (computed once at construction).
+    /// The session's backward potentials (computed once at
+    /// construction). Panics for a [`Strategy::Exhaustive`] session.
     pub fn potentials(&self) -> &PlannerPotentials {
-        &self.potentials
+        &self.dag.as_ref().expect(NO_DAG).1
     }
 }
 
@@ -359,21 +383,30 @@ mod tests {
     #[test]
     fn session_answers_match_cold_plans() {
         let job = job();
-        let astra = Astra::with_defaults();
-        let space = ConfigSpace::with_tiers(&job, astra.platform(), &[128, 512, 1792, 3008]);
-        let session = astra.session_with_space(&job, &space);
-        let cheapest = session.plan(Objective::cheapest()).unwrap();
-        let fastest = session.plan(Objective::fastest()).unwrap();
-        let (lo, hi) = (
-            cheapest.predicted_cost().nanos(),
-            fastest.predicted_cost().nanos(),
-        );
-        for step in 0..8 {
-            let budget = Money::from_nanos(lo + (hi - lo) * step / 7);
-            let objective = Objective::MinimizeTime { budget };
-            let warm = session.plan(objective).unwrap();
-            let cold = astra.plan_with_space(&job, objective, &space).unwrap();
-            assert_eq!(warm.spec, cold.spec, "budget step {step}");
+        for strategy in [Strategy::Algorithm1, Strategy::ExactCsp, Strategy::Exhaustive] {
+            let (telemetry, recorder) = astra_telemetry::sinks::in_memory();
+            let astra = Astra::with_defaults()
+                .with_strategy(strategy)
+                .with_telemetry(telemetry);
+            let space = ConfigSpace::with_tiers(&job, astra.platform(), &[128, 512, 1792, 3008]);
+            let session = astra.session_with_space(&job, &space);
+            let cheapest = session.plan(Objective::cheapest()).unwrap();
+            let fastest = session.plan(Objective::fastest()).unwrap();
+            let (lo, hi) = (
+                cheapest.predicted_cost().nanos(),
+                fastest.predicted_cost().nanos(),
+            );
+            for step in 0..8 {
+                let budget = Money::from_nanos(lo + (hi - lo) * step / 7);
+                let objective = Objective::MinimizeTime { budget };
+                let warm = session.plan(objective);
+                let cold = astra.plan_with_space(&job, objective, &space);
+                assert_eq!(warm, cold, "{strategy:?}: budget step {step}");
+            }
+            // An exhaustive sweep never reads a DAG, so none is built.
+            let dags = recorder.spans().iter().filter(|s| &*s.name == "build_dag").count();
+            let expected = if strategy == Strategy::Exhaustive { 0 } else { 9 };
+            assert_eq!(dags, expected, "{strategy:?}");
         }
     }
 

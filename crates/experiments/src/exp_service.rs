@@ -202,8 +202,8 @@ pub fn run(out: &mut Output) {
     out.blank();
     out.line("Every worker-pool size must report 'bit-identical': the daemon");
     out.line("reorders execution, never results. The cache-hit column counts");
-    out.line("planner-session reuse across the 200-job mix (admission planning");
-    out.line("at submit warms the session each worker later reuses).");
+    out.line("planner-session reuse across the 200-job mix (each job is planned");
+    out.line("once, at admission; every repeat of a spec reuses its session).");
     out.record("serial_s", json!(serial_s));
     out.record("jobs", json!(JOBS));
     out.record("pools", json!(json_rows));

@@ -177,10 +177,12 @@ pub fn reduce_tier_times(
 ) -> ReduceTierTimes {
     let secs_per_mb = platform.secs_per_mb(mem_mb, profile.reduce_secs_per_mb_128);
     // Everything a reducer touches is ephemeral data.
-    let state_get_s = platform.inter_get_secs(mem_mb, profile.state_object_mb);
+    let (get_latency_s, get_bandwidth_mbps) = platform.inter_get_link(mem_mb);
+    let get_s = |size_mb: f64| get_latency_s + size_mb / get_bandwidth_mbps;
+    let state_get_s = get_s(profile.state_object_mb);
     let row_time = |objs: &[f64], out: f64| {
         state_get_s
-            + objs.iter().map(|&d| platform.inter_get_secs(mem_mb, d)).sum::<f64>()
+            + objs.iter().map(|&d| get_s(d)).sum::<f64>()
             + objs.iter().sum::<f64>() * secs_per_mb
             + platform.inter_put_secs(mem_mb, out)
     };

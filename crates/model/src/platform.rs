@@ -190,11 +190,18 @@ impl Platform {
     /// data (shuffle/state/intermediate objects) from the configured
     /// intermediate store. Falls back to S3 when none is configured.
     pub fn inter_get_secs(&self, mem_mb: u32, size_mb: f64) -> f64 {
+        let (latency_s, bandwidth_mbps) = self.inter_get_link(mem_mb);
+        latency_s + size_mb / bandwidth_mbps
+    }
+
+    /// The `(latency_s, bandwidth_mbps)` pair behind
+    /// [`Platform::inter_get_secs`] at `mem_mb`, for callers that read
+    /// many objects at one tier: `latency_s + size_mb / bandwidth_mbps`
+    /// is `inter_get_secs(mem_mb, size_mb)` bit for bit.
+    pub fn inter_get_link(&self, mem_mb: u32) -> (f64, f64) {
         match &self.intermediate {
-            None => self.get_secs(mem_mb, size_mb),
-            Some(c) => {
-                c.get_latency_s + size_mb / self.bandwidth_mbps(mem_mb).min(c.bandwidth_mbps)
-            }
+            None => (self.transfer.get_latency_s, self.bandwidth_mbps(mem_mb)),
+            Some(c) => (c.get_latency_s, self.bandwidth_mbps(mem_mb).min(c.bandwidth_mbps)),
         }
     }
 

@@ -3,10 +3,11 @@
 //!
 //! A [`PlannerSession`] pays the Fig. 5 DAG construction and the
 //! backward-potential sweep once per `(job, space, platform, prices)`
-//! tuple; the service sees the same tuple repeatedly — admission plans
-//! a job at submit time, a worker re-plans it when it dispatches, and
-//! tenants resubmit identical specs with different objectives. Caching
-//! sessions turns all of those into label-search-speed queries.
+//! tuple; the service sees the same tuple repeatedly — tenants resubmit
+//! identical specs with different objectives, re-quote renamed specs,
+//! and ask frontier questions about jobs already planned. Admission
+//! plans each job once, through this cache; caching sessions turns every
+//! repeat into a label-search-speed query.
 //!
 //! The key is a canonical fingerprint of every input the model reads
 //! ([`SessionKey::for_inputs`]); two jobs share a session only if they

@@ -9,19 +9,21 @@
 //! *admission plan*, whose predicted cost becomes the job's envelope
 //! claim) and enqueues it; anything that goes wrong — invalid spec,
 //! infeasible objective, claim larger than the whole envelope, full
-//! queue, shutdown — lands the job in `Rejected` with a reason.
+//! queue, shutdown — lands the job in `Rejected` with a reason. The
+//! admission plan is the job's plan: it rides in the job's queue
+//! entry to the worker, and a refused job's plan is dropped with the
+//! refusal. [`FaultSite::CacheBuild`] fires here, at admission.
 //!
 //! ## Worker path
 //!
-//! Workers block in [`crate::scheduler::Scheduler::next`], then drive
-//! the job `Accepted → Planned → Simulating → Done` (skipping
-//! `Simulating` for plan-only requests). The worker re-plans through
-//! the same session cache the submitter warmed — a guaranteed cache
-//! hit in the steady state, which is why the service reports a non-zero
-//! `service.cache.hits` count after any batch. Replications fan out on
-//! a [`SimBatch`], whose results are bit-identical to a serial loop at
-//! any thread count; combined with the scheduler's FIFO dispatch this
-//! yields the service determinism contract (crate docs).
+//! Workers block in [`crate::scheduler::Scheduler::next`], which hands
+//! them the job with its admission plan, and drive the job
+//! `Accepted → Planned → Simulating → Done` (skipping `Simulating` for
+//! plan-only requests) without touching the session cache again.
+//! Replications fan out on a [`SimBatch`], whose results are
+//! bit-identical to a serial loop at any thread count; combined with
+//! the scheduler's FIFO dispatch this yields the service determinism
+//! contract (crate docs).
 //!
 //! A worker panic is caught per job and recorded as `Failed` with the
 //! captured panic payload as its reason (plus a
@@ -50,7 +52,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use astra_core::{Astra, ConfigSpace, PruneConfig, Strategy};
+use astra_core::{Astra, ConfigSpace, Plan, PruneConfig, Strategy};
 use astra_faas::{derive_seed, SimBatch, SimConfig};
 use astra_model::{JobSpec, Platform, WorkloadProfile};
 use astra_pricing::PriceCatalog;
@@ -194,9 +196,8 @@ struct JobTable {
 
 struct Inner {
     astra: Astra,
-    platform: Platform,
-    catalog: PriceCatalog,
-    scheduler: Scheduler,
+    /// Queued jobs, each carrying its admission plan to the worker.
+    scheduler: Scheduler<Plan>,
     cache: SessionCache,
     telemetry: Telemetry,
     table: Mutex<JobTable>,
@@ -313,66 +314,32 @@ impl Inner {
         self.transition(id, JobStatus::Failed, |snap| snap.reason = Some(reason));
     }
 
-    /// The session-cache key and space for a job under this daemon's
-    /// planner quadruple.
-    fn session_key(&self, job: &JobSpec) -> (ConfigSpace, SessionKey) {
-        let space = ConfigSpace::full(job, &self.platform);
-        let key = SessionKey::for_inputs(
-            job,
-            &space,
-            &self.platform,
-            &self.catalog,
-            self.astra.strategy(),
-            self.astra.prune_config(),
-        );
-        (space, key)
-    }
-
     /// Fetch or create the session for `job` through the shared cache:
     /// a resident session for the same model inputs (a renamed spec
     /// included) is a hit, anything else one cold build (see
     /// [`SessionCache::get_or_patch`]).
-    fn session_cached(
-        &self,
-        job: &JobSpec,
-    ) -> (Arc<astra_core::PlannerSession>, CacheLookup) {
-        let (space, key) = self.session_key(job);
-        self.cache.get_or_patch(
-            key,
-            job,
-            &space,
-            &self.platform,
-            &self.catalog,
-            self.astra.strategy(),
-            self.astra.prune_config(),
-            || self.astra.session_with_space(job, &space),
-        )
+    fn session_cached(&self, job: &JobSpec) -> (Arc<astra_core::PlannerSession>, CacheLookup) {
+        let (platform, catalog) = (self.astra.platform(), self.astra.catalog());
+        let (strategy, prune) = (self.astra.strategy(), self.astra.prune_config());
+        let space = ConfigSpace::full(job, platform);
+        let key = SessionKey::for_inputs(job, &space, platform, catalog, strategy, prune);
+        self.cache
+            .get_or_patch(key, job, &space, platform, catalog, strategy, prune, || {
+                self.astra.session_with_space(job, &space)
+            })
     }
 
-    /// Plan `job` under this daemon's configuration through the shared
-    /// session cache. Returns the plan and whether the cache hit. The
-    /// [`FaultSite::CacheBuild`] check is keyed by job id, so it fires
-    /// identically at admission and at the worker re-plan (a job either
-    /// never queues or never trips here).
-    fn plan_cached(
-        &self,
-        id: JobId,
-        job: &JobSpec,
-        objective: astra_core::Objective,
-    ) -> (Result<astra_core::Plan, String>, bool) {
+    /// The admission plan: `job` planned through the shared session
+    /// cache, and whether the cache hit.
+    fn plan_cached(&self, id: JobId, request: &JobRequest) -> (Result<Plan, String>, bool) {
         if self.faults.fires(FaultSite::CacheBuild, id) {
             self.telemetry.counter("service.faults.injected", 1);
-            return (
-                Err(format!(
-                    "injected fault: {} failure (job {id})",
-                    FaultSite::CacheBuild
-                )),
-                false,
-            );
+            let reason = format!("injected fault: {} failure (job {id})", FaultSite::CacheBuild);
+            return (Err(reason), false);
         }
-        let (session, lookup) = self.session_cached(job);
+        let (session, lookup) = self.session_cached(&request.job);
         (
-            session.plan(objective).map_err(|e| e.to_string()),
+            session.plan(request.objective).map_err(|e| e.to_string()),
             lookup == CacheLookup::Hit,
         )
     }
@@ -382,7 +349,7 @@ impl Inner {
     /// released the job's claim. `Ok` carries the simulation outcome and
     /// its wall time (`None` when no replication was asked for); `Err`
     /// is a failure reason.
-    fn run_job(&self, id: JobId) -> Result<Option<(SimOutcome, u64)>, String> {
+    fn run_job(&self, id: JobId, plan: &Plan) -> Result<Option<(SimOutcome, u64)>, String> {
         let (request, accepted_ns) = {
             let table = self.table.lock().unwrap();
             let snap = table.jobs.get(&id).expect("dispatched unknown job");
@@ -392,11 +359,6 @@ impl Inner {
         let picked_up = wall_clock_ns();
 
         self.inject(FaultSite::WorkerPlan, id)?;
-        let (planned, hit) = self.plan_cached(id, &request.job, request.objective);
-        // Admission already planned this exact request successfully;
-        // planning is deterministic, so failure here is a real bug.
-        let plan = planned.map_err(|e| format!("re-plan after admission failed: {e}"))?;
-        let plan_ns = wall_clock_ns().saturating_sub(picked_up);
         let outcome = PlanOutcome {
             spec: plan.spec.clone(),
             predicted_jct_s: plan.predicted_jct_s(),
@@ -406,9 +368,7 @@ impl Inner {
         self.telemetry.counter("service.planned", 1);
         self.transition(id, JobStatus::Planned, |snap| {
             snap.plan = Some(outcome);
-            snap.session_cache_hit |= hit;
             snap.metrics.queue_wait_ns = picked_up.saturating_sub(accepted_ns);
-            snap.metrics.plan_ns = plan_ns;
         });
 
         if request.sim.replications == 0 {
@@ -419,11 +379,11 @@ impl Inner {
         self.inject(FaultSite::WorkerSim, id)?;
         self.transition(id, JobStatus::Simulating, |_| {});
         let sim_started = wall_clock_ns();
-        let compiled = astra_mapreduce::compile(&request.job, &plan);
+        let compiled = astra_mapreduce::compile(&request.job, plan);
         let mut batch = SimBatch::with_capacity(request.sim.replications as usize);
         for rep in 0..request.sim.replications as u64 {
-            let config = SimConfig::deterministic(self.platform.clone())
-                .with_catalog(self.catalog)
+            let config = SimConfig::deterministic(self.astra.platform().clone())
+                .with_catalog(*self.astra.catalog())
                 .with_noise(request.sim.noise_cv, derive_seed(request.sim.seed, rep))
                 .with_telemetry(self.telemetry.clone());
             batch.push(config, compiled.roots.clone(), compiled.inputs.clone());
@@ -453,9 +413,10 @@ impl Inner {
 
     /// The admission path a registered `Accepted` job takes to the
     /// queue: validate, admission-plan through the session cache, then
-    /// enqueue under the scheduler's envelope/overload policy. Every
-    /// refusal lands the job in `Rejected` with a reason; shed refusals
-    /// also stamp `retry_after_ms`. Shared by live submission
+    /// enqueue the job with its plan under the scheduler's
+    /// envelope/overload policy. Every refusal lands the job in
+    /// `Rejected` with a reason and drops its plan; shed refusals also
+    /// stamp `retry_after_ms`. Shared by live submission
     /// ([`ServiceHandle::submit`]) and startup recovery, so a replayed
     /// job is re-admitted by exactly the rules a fresh one faces.
     fn admit(&self, id: JobId, request: &JobRequest) {
@@ -466,9 +427,10 @@ impl Inner {
         // The model layer asserts on inputs validate() vouched for; a
         // panic past this point is a validation gap, answered as a
         // rejection rather than a dead submitter thread.
-        let admission = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            self.plan_cached(id, &request.job, request.objective)
-        }));
+        let started = wall_clock_ns();
+        let admission =
+            std::panic::catch_unwind(AssertUnwindSafe(|| self.plan_cached(id, request)));
+        let plan_ns = wall_clock_ns().saturating_sub(started);
         let (planned, hit) = match admission {
             Ok(result) => result,
             Err(payload) => {
@@ -486,7 +448,8 @@ impl Inner {
         {
             let mut table = self.table.lock().unwrap();
             if let Some(snap) = table.jobs.get_mut(&id) {
-                snap.session_cache_hit |= hit;
+                snap.session_cache_hit = hit;
+                snap.metrics.plan_ns = plan_ns;
             }
         }
         let plan = match planned {
@@ -501,6 +464,7 @@ impl Inner {
             &request.tenant,
             plan.predicted_cost(),
             request.carries_deadline(),
+            plan,
         ) {
             Ok(()) => {}
             Err(SubmitError::Refused(reason)) => self.reject(id, reason),
@@ -527,7 +491,8 @@ impl Inner {
 
 fn worker_loop(inner: Arc<Inner>) {
     while let Some(queued) = inner.scheduler.next() {
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| inner.run_job(queued.id)));
+        let run = || inner.run_job(queued.id, &queued.payload);
+        let result = std::panic::catch_unwind(AssertUnwindSafe(run));
         if let Err(payload) = &result {
             if payload.is::<CrashSignal>() {
                 // Simulated process death: the job stays non-terminal
@@ -598,8 +563,6 @@ impl ServiceDaemon {
         .with_telemetry(config.telemetry.clone());
         let inner = Arc::new(Inner {
             astra,
-            platform: config.platform,
-            catalog: config.catalog,
             scheduler: Scheduler::new(
                 config.queue_capacity,
                 config.envelope,
@@ -934,20 +897,43 @@ mod tests {
     }
 
     #[test]
-    fn worker_replans_hit_the_session_cache() {
-        let daemon = ServiceDaemon::start(small_config());
+    fn each_job_is_planned_once() {
+        let config = small_config();
+        let library = Astra::new(config.platform.clone(), config.catalog, config.strategy)
+            .with_prune_config(config.prune);
+        let daemon = ServiceDaemon::start(config);
         let handle = daemon.handle();
-        let id = handle.submit(request(4));
-        let snap = handle.await_done(id).unwrap();
-        assert_eq!(snap.status, JobStatus::Done);
-        // Admission planning missed (cold cache); the worker re-plan hit.
-        assert!(snap.session_cache_hit);
+        // Three rounds over the same three specs, one objective a round.
+        let specs = 3;
+        let objectives = [
+            Objective::min_time_with_budget_dollars(5.0),
+            Objective::cheapest(),
+            Objective::fastest(),
+        ];
+        let ids: Vec<JobId> = objectives
+            .iter()
+            .flat_map(|&o| (0..specs).map(move |n| JobRequest { objective: o, ..request(3 + n) }))
+            .map(|r| handle.submit(r))
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            let snap = handle.await_done(id).unwrap();
+            assert_eq!(snap.status, JobStatus::Done, "job {id}");
+            assert_eq!(snap.session_cache_hit, i >= specs, "job {id}");
+            let plan = library.session(&snap.request.job).plan(snap.request.objective).unwrap();
+            let outcome = snap.plan.unwrap();
+            assert_eq!(
+                (outcome.spec, outcome.predicted_cost, outcome.predicted_jct_s.to_bits()),
+                (plan.spec.clone(), plan.predicted_cost(), plan.predicted_jct_s().to_bits()),
+                "job {id}"
+            );
+        }
         let stats = handle.cache_stats();
-        assert!(stats.hits >= 1, "stats: {stats:?}");
+        assert_eq!(stats.hits + stats.misses, ids.len() as u64, "{stats:?}");
+        assert_eq!(stats.misses, specs as u64, "{stats:?}");
     }
 
     #[test]
-    fn resubmit_replays_and_patches_through_the_cache() {
+    fn resubmit_replays_and_requotes_through_the_cache() {
         let daemon = ServiceDaemon::start(small_config());
         let handle = daemon.handle();
 

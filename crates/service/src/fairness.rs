@@ -152,10 +152,11 @@ impl Default for FairnessConfig {
     }
 }
 
-/// A queued dispatch unit: the job, the tenant lane it belongs to, and
-/// the admission claim its planned cost debits while it runs.
+/// A queued dispatch unit: the job, the tenant lane it belongs to, the
+/// admission claim its planned cost debits while it runs, and what it
+/// carries to its worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueuedJob {
+pub struct QueuedJob<P = ()> {
     /// The job to run.
     pub id: JobId,
     /// Planned-cost claim held until released on completion.
@@ -165,6 +166,9 @@ pub struct QueuedJob {
     /// Wall-clock enqueue stamp (the scheduler's head-of-line age
     /// signal for overload shedding).
     pub enqueued_ns: u64,
+    /// What the worker that dispatches the job runs (the daemon's
+    /// admission plan).
+    pub payload: P,
 }
 
 /// Point-in-time occupancy of one tenant's lane.
@@ -178,8 +182,8 @@ pub struct TenantStats {
     pub claimed: Money,
 }
 
-struct Lane {
-    queue: std::collections::VecDeque<QueuedJob>,
+struct Lane<P> {
+    queue: std::collections::VecDeque<QueuedJob<P>>,
     /// DRR credit, in nanodollars of planned cost.
     deficit: Money,
     in_flight: usize,
@@ -187,7 +191,7 @@ struct Lane {
     envelope: TenantEnvelope,
 }
 
-impl Lane {
+impl<P> Lane<P> {
     /// Would this lane's envelope admit `claim` right now?
     fn admits(&self, claim: Money) -> bool {
         self.in_flight < self.envelope.max_in_flight
@@ -197,9 +201,9 @@ impl Lane {
 
 /// The outcome of one dispatch attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Dispatch {
+pub enum Dispatch<P = ()> {
     /// A job was selected and its claims (global and tenant) debited.
-    Job(QueuedJob),
+    Job(QueuedJob<P>),
     /// Nothing can dispatch right now: every non-empty lane is deferred
     /// by its tenant envelope, or the DRR-chosen head is head-gated on
     /// the global envelope. Retry after a release or a submission.
@@ -208,9 +212,9 @@ pub enum Dispatch {
 
 /// The DRR lane set. Not internally synchronized — the scheduler holds
 /// it under its own lock, exactly like [`AdmissionController`].
-pub struct DrrLanes {
+pub struct DrrLanes<P = ()> {
     config: FairnessConfig,
-    lanes: Vec<Lane>,
+    lanes: Vec<Lane<P>>,
     index: HashMap<Arc<str>, usize>,
     /// Round-robin cursor into `lanes`.
     cursor: usize,
@@ -226,7 +230,7 @@ pub struct DrrLanes {
     telemetry: Telemetry,
 }
 
-impl DrrLanes {
+impl<P> DrrLanes<P> {
     /// An empty lane set under `config`.
     pub fn new(config: FairnessConfig, telemetry: Telemetry) -> Self {
         assert!(config.quantum > Money::ZERO, "DRR quantum must be positive");
@@ -319,7 +323,7 @@ impl DrrLanes {
     /// Append a job to its tenant's lane (creating the lane on first
     /// sight of the tenant). The caller has already checked
     /// [`DrrLanes::feasible`] and the queue bound.
-    pub fn enqueue(&mut self, job: QueuedJob) {
+    pub fn enqueue(&mut self, job: QueuedJob<P>) {
         let i = self.lane_for(&job.tenant);
         self.lanes[i].queue.push_back(job);
         self.queued += 1;
@@ -327,7 +331,7 @@ impl DrrLanes {
 
     /// Debit the dispatch of lane `i`'s head out of its deficit and its
     /// tenant envelope, and hand the job out.
-    fn pop_dispatch(&mut self, i: usize) -> Dispatch {
+    fn pop_dispatch(&mut self, i: usize) -> Dispatch<P> {
         let lane = &mut self.lanes[i];
         let job = lane.queue.pop_front().expect("dispatch from empty lane");
         lane.deficit -= job.claim;
@@ -355,7 +359,7 @@ impl DrrLanes {
     /// head is globally head-gated, or every non-empty lane is deferred
     /// by its tenant envelope — the two latter cases return
     /// [`Dispatch::Blocked`] and the caller waits for a release.
-    pub fn try_dispatch(&mut self, global: &mut AdmissionController) -> Dispatch {
+    pub fn try_dispatch(&mut self, global: &mut AdmissionController) -> Dispatch<P> {
         if self.queued == 0 {
             return Dispatch::Blocked;
         }
@@ -472,6 +476,7 @@ mod tests {
             claim: dollars(claim),
             tenant: Arc::from(tenant),
             enqueued_ns: id,
+            payload: (),
         }
     }
 

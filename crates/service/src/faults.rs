@@ -30,8 +30,8 @@ pub enum FaultSite {
     WorkerSim,
     /// In the worker, before the terminal `Done` transition.
     WorkerFinish,
-    /// In [`crate::daemon`]'s session-cache planning path, keyed by job
-    /// id (fires identically at admission and worker re-plan).
+    /// In [`crate::daemon`]'s admission plan through the session
+    /// cache, keyed by job id.
     CacheBuild,
     /// In the TCP server: drop the connection instead of answering,
     /// keyed by connection sequence number.

@@ -28,8 +28,8 @@
 //!   admitted claims never exceeds it, and FIFO ordering guarantees an
 //!   admissible job is never starved;
 //! * [`cache`] — a bounded LRU of [`PlannerSession`]s keyed by
-//!   `(job, space, platform, prices)`, shared by admission planning and
-//!   the worker pool (`service.cache.*` telemetry counts reuse);
+//!   `(job, space, platform, prices)`, through which admission plans
+//!   each job once (`service.cache.*` telemetry counts reuse);
 //! * [`fairness`] — per-tenant submission lanes with deficit-round-robin
 //!   dispatch and per-tenant envelopes, so one tenant flooding the
 //!   queue defers only itself;

@@ -124,8 +124,8 @@ impl SubmitError {
     }
 }
 
-struct SchedState {
-    lanes: DrrLanes,
+struct SchedState<P> {
+    lanes: DrrLanes<P>,
     admission: AdmissionController,
     closed: bool,
     /// A halted scheduler (simulated process crash) refuses submissions
@@ -135,15 +135,15 @@ struct SchedState {
 }
 
 /// The submission queue + admission gate (see module docs).
-pub struct Scheduler {
-    state: Mutex<SchedState>,
+pub struct Scheduler<P = ()> {
+    state: Mutex<SchedState<P>>,
     wakeup: Condvar,
     capacity: usize,
     overload: OverloadConfig,
     telemetry: Telemetry,
 }
 
-impl Scheduler {
+impl<P> Scheduler<P> {
     /// A scheduler with a bounded queue, a fresh global envelope, DRR
     /// tenant lanes under `fairness`, and `overload` shedding
     /// thresholds.
@@ -168,7 +168,8 @@ impl Scheduler {
         }
     }
 
-    /// Enqueue a job in its tenant's lane. `Err` carries the refusal:
+    /// Enqueue a job in its tenant's lane, with the `payload` that
+    /// [`Scheduler::next`] hands its worker. `Err` carries the refusal:
     /// [`SubmitError::Refused`] when the queue is full, the claim can
     /// never fit the global envelope or the tenant's budget share, or
     /// the scheduler is shutting down — all independent of what is
@@ -181,6 +182,7 @@ impl Scheduler {
         tenant: &str,
         claim: Money,
         priority: bool,
+        payload: P,
     ) -> Result<(), SubmitError> {
         let mut state = self.state.lock().unwrap();
         if state.closed || state.halted {
@@ -213,6 +215,7 @@ impl Scheduler {
             claim,
             tenant: tenant.into(),
             enqueued_ns: now_ns,
+            payload,
         });
         self.wakeup.notify_all();
         Ok(())
@@ -220,7 +223,7 @@ impl Scheduler {
 
     /// Overload verdict under the current queue state: `Err(reason)`
     /// when a shed threshold is crossed.
-    fn shed_check(&self, state: &SchedState, now_ns: u64) -> Result<(), String> {
+    fn shed_check(&self, state: &SchedState<P>, now_ns: u64) -> Result<(), String> {
         let depth = state.lanes.queued();
         if depth >= self.overload.shed_queue_depth {
             self.telemetry.counter("service.shed.total", 1);
@@ -251,7 +254,7 @@ impl Scheduler {
     /// global and tenant claims debited). Returns `None` once the
     /// scheduler is closed and every lane has drained — the worker's
     /// signal to exit — or immediately after a halt.
-    pub fn next(&self) -> Option<QueuedJob> {
+    pub fn next(&self) -> Option<QueuedJob<P>> {
         let mut state = self.state.lock().unwrap();
         loop {
             if state.halted {
@@ -274,7 +277,7 @@ impl Scheduler {
 
     /// Release a dispatched job's global and tenant claims and wake
     /// deferred workers.
-    pub fn complete(&self, job: &QueuedJob) {
+    pub fn complete(&self, job: &QueuedJob<P>) {
         let mut state = self.state.lock().unwrap();
         state.admission.release(job.claim);
         state.lanes.release(&job.tenant, job.claim);
@@ -347,7 +350,7 @@ mod tests {
     fn single_tenant_dispatch_is_fifo() {
         let sched = sched(8, Envelope::unbounded());
         for id in 0..5 {
-            sched.submit(id, "t", dollars(0.1), false).unwrap();
+            sched.submit(id, "t", dollars(0.1), false, ()).unwrap();
         }
         sched.close();
         let mut order = Vec::new();
@@ -361,9 +364,9 @@ mod tests {
     #[test]
     fn full_queue_rejects_with_reason() {
         let sched = sched(2, Envelope::unbounded());
-        sched.submit(0, "a", Money::ZERO, false).unwrap();
-        sched.submit(1, "b", Money::ZERO, false).unwrap();
-        let err = sched.submit(2, "c", Money::ZERO, false).unwrap_err();
+        sched.submit(0, "a", Money::ZERO, false, ()).unwrap();
+        sched.submit(1, "b", Money::ZERO, false, ()).unwrap();
+        let err = sched.submit(2, "c", Money::ZERO, false, ()).unwrap_err();
         assert!(err.reason().contains("queue is full"), "{err:?}");
         assert!(matches!(err, SubmitError::Refused(_)));
     }
@@ -377,7 +380,7 @@ mod tests {
                 budget: dollars(1.0),
             },
         );
-        let err = sched.submit(0, "t", dollars(2.0), false).unwrap_err();
+        let err = sched.submit(0, "t", dollars(2.0), false, ()).unwrap_err();
         assert!(err.reason().contains("exceeds"), "{err:?}");
         assert_eq!(sched.queue_len(), 0);
     }
@@ -397,19 +400,19 @@ mod tests {
             OverloadConfig::disabled(),
             Telemetry::disabled(),
         );
-        let err = sched.submit(0, "metered", dollars(2.0), false).unwrap_err();
+        let err = sched.submit(0, "metered", dollars(2.0), false, ()).unwrap_err();
         assert!(err.reason().contains("budget share"), "{err:?}");
         // Another tenant with the same claim is fine.
-        sched.submit(1, "other", dollars(2.0), false).unwrap();
+        sched.submit(1, "other", dollars(2.0), false, ()).unwrap();
     }
 
     #[test]
     fn closed_scheduler_rejects_submissions_but_drains() {
         let sched = sched(8, Envelope::unbounded());
-        sched.submit(0, "t", Money::ZERO, false).unwrap();
+        sched.submit(0, "t", Money::ZERO, false, ()).unwrap();
         sched.close();
         assert!(sched
-            .submit(1, "t", Money::ZERO, false)
+            .submit(1, "t", Money::ZERO, false, ())
             .unwrap_err()
             .reason()
             .contains("shutting down"));
@@ -422,8 +425,8 @@ mod tests {
     #[test]
     fn halted_scheduler_freezes_queue_and_claims() {
         let sched = sched(8, Envelope::unbounded());
-        sched.submit(0, "t", dollars(0.5), false).unwrap();
-        sched.submit(1, "t", dollars(0.5), false).unwrap();
+        sched.submit(0, "t", dollars(0.5), false, ()).unwrap();
+        sched.submit(1, "t", dollars(0.5), false, ()).unwrap();
         let running = sched.next().unwrap();
         assert_eq!(running.id, 0);
         sched.halt();
@@ -432,7 +435,7 @@ mod tests {
         assert_eq!(sched.queue_len(), 1);
         assert_eq!(sched.in_flight(), 1);
         assert!(sched
-            .submit(2, "t", Money::ZERO, false)
+            .submit(2, "t", Money::ZERO, false, ())
             .unwrap_err()
             .reason()
             .contains("shutting down"));
@@ -449,11 +452,11 @@ mod tests {
                 .with_retry_after_ms(125),
             Telemetry::disabled(),
         );
-        sched.submit(0, "t", Money::ZERO, false).unwrap();
-        sched.submit(1, "t", Money::ZERO, false).unwrap();
+        sched.submit(0, "t", Money::ZERO, false, ()).unwrap();
+        sched.submit(1, "t", Money::ZERO, false, ()).unwrap();
         // Depth threshold reached: non-priority submissions shed with
         // the retry hint…
-        let err = sched.submit(2, "t", Money::ZERO, false).unwrap_err();
+        let err = sched.submit(2, "t", Money::ZERO, false, ()).unwrap_err();
         let SubmitError::Overloaded {
             reason,
             retry_after_ms,
@@ -464,7 +467,7 @@ mod tests {
         assert!(reason.contains("overloaded"), "{reason}");
         assert_eq!(retry_after_ms, 125);
         // …while a deadline-class submission is still accepted.
-        sched.submit(3, "t", Money::ZERO, true).unwrap();
+        sched.submit(3, "t", Money::ZERO, true, ()).unwrap();
         assert_eq!(sched.queue_len(), 3);
     }
 
@@ -478,9 +481,9 @@ mod tests {
             Telemetry::disabled(),
         );
         // An empty queue has no head to be stale — first job accepted.
-        sched.submit(0, "t", Money::ZERO, false).unwrap();
+        sched.submit(0, "t", Money::ZERO, false, ()).unwrap();
         // Threshold 0 ms: the queued head is instantly "stale".
-        let err = sched.submit(1, "t", Money::ZERO, false).unwrap_err();
+        let err = sched.submit(1, "t", Money::ZERO, false, ()).unwrap_err();
         assert!(
             matches!(err, SubmitError::Overloaded { .. }),
             "expected head-age shed, got {err:?}"
@@ -488,7 +491,7 @@ mod tests {
         // Draining the head clears the pressure signal.
         let job = sched.next().unwrap();
         sched.complete(&job);
-        sched.submit(2, "t", Money::ZERO, false).unwrap();
+        sched.submit(2, "t", Money::ZERO, false, ()).unwrap();
     }
 
     #[test]
@@ -500,8 +503,8 @@ mod tests {
                 budget: dollars(10.0),
             },
         ));
-        sched.submit(0, "t", dollars(1.0), false).unwrap();
-        sched.submit(1, "t", dollars(1.0), false).unwrap();
+        sched.submit(0, "t", dollars(1.0), false, ()).unwrap();
+        sched.submit(1, "t", dollars(1.0), false, ()).unwrap();
 
         let first = sched.next().unwrap();
         assert_eq!(first.id, 0);
@@ -533,10 +536,10 @@ mod tests {
             Telemetry::disabled(),
         );
         for id in 0..4 {
-            sched.submit(id, "flood", dollars(0.001), false).unwrap();
+            sched.submit(id, "flood", dollars(0.001), false, ()).unwrap();
         }
         for id in 10..12 {
-            sched.submit(id, "quiet", dollars(0.001), false).unwrap();
+            sched.submit(id, "quiet", dollars(0.001), false, ()).unwrap();
         }
         sched.close();
         let mut order = Vec::new();

@@ -141,7 +141,7 @@ impl JobRequest {
 pub enum JobStatus {
     /// Past admission, waiting in the submission queue.
     Accepted,
-    /// A worker resolved the execution plan.
+    /// A worker took up the job's admission plan.
     Planned,
     /// Replications are running on the simulator.
     Simulating,
@@ -269,7 +269,8 @@ impl SimOutcome {
 pub struct JobMetrics {
     /// Submission → picked up by a worker.
     pub queue_wait_ns: u64,
-    /// Time inside the planning phase.
+    /// Wall time of the admission plan (session lookup or build,
+    /// solve, evaluation).
     pub plan_ns: u64,
     /// Time inside the simulation phase.
     pub sim_ns: u64,
@@ -310,7 +311,7 @@ pub struct JobSnapshot {
     pub sim: Option<SimOutcome>,
     /// Wall-clock accounting (complete once terminal).
     pub metrics: JobMetrics,
-    /// Whether this job's planning was served from the session cache.
+    /// Whether the admission plan reused a cached session.
     pub session_cache_hit: bool,
     /// Set only on overload-shed rejections: how long the client should
     /// wait before retrying (the `OVERLOADED` protocol error carries

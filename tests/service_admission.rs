@@ -99,7 +99,7 @@ proptest! {
             // Spread the mix over two tenants so the DRR lanes are
             // exercised, not just the single-lane degenerate case.
             let tenant = if id % 2 == 0 { "even" } else { "odd" };
-            match sched.submit(id as u64, tenant, dollars(claim), false) {
+            match sched.submit(id as u64, tenant, dollars(claim), false, ()) {
                 Ok(()) => expected.push(id as u64),
                 Err(reason) => prop_assert!(
                     dollars(claim) > envelope.budget,

@@ -373,6 +373,7 @@ proptest! {
                 claim: dollars(*claim),
                 tenant: Arc::from(tenants[*tenant]),
                 enqueued_ns: id as u64,
+                payload: (),
             });
         }
 
