@@ -83,8 +83,8 @@ impl EmrCluster {
         // Multi-step funnelling is unnecessary on a cluster — reducers
         // hold state in memory — so one logical reduce over S = alpha*D.
         let reduce_work_core_s = s * profile.reduce_secs_per_mb_128 / self.vcpu_speed_vs_128;
-        let reduce_s = reduce_work_core_s / cores
-            + s * profile.reduce_ratio / self.cluster_net_mbps;
+        let reduce_s =
+            reduce_work_core_s / cores + s * profile.reduce_ratio / self.cluster_net_mbps;
 
         let jct_s = self.job_overhead_s + map_s + shuffle_s + reduce_s;
         let cost = self

@@ -63,7 +63,8 @@ impl SparkVmModel {
     /// What the job costs on the hourly-billed cluster.
     pub fn cost(&self, job: &JobSpec) -> Money {
         let jct = self.jct_s(job);
-        let billed_s = (jct.ceil() as u64).div_ceil(self.billing_quantum_s) * self.billing_quantum_s;
+        let billed_s =
+            (jct.ceil() as u64).div_ceil(self.billing_quantum_s) * self.billing_quantum_s;
         self.pricing
             .cluster_cost(self.instances, billed_s * 1_000_000)
     }
@@ -94,9 +95,6 @@ mod tests {
         let job = JobSpec::uniform("t", 200, 500.0, profile);
         let hours = (m.jct_s(&job) / 3600.0).ceil();
         assert!(hours >= 2.0);
-        assert_eq!(
-            m.cost(&job),
-            Money::from_dollars_f64(1.008).scale(hours)
-        );
+        assert_eq!(m.cost(&job), Money::from_dollars_f64(1.008).scale(hours));
     }
 }

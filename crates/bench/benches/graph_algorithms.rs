@@ -28,7 +28,11 @@ fn layered(width: usize, layers: usize, seed: u64) -> (G, NodeId, NodeId) {
         let layer: Vec<NodeId> = (0..width).map(|_| g.add_node(())).collect();
         for &u in &prev {
             for &v in &layer {
-                g.add_edge(u, v, (rng.random_range(0.1..10.0), rng.random_range(0.1..10.0)));
+                g.add_edge(
+                    u,
+                    v,
+                    (rng.random_range(0.1..10.0), rng.random_range(0.1..10.0)),
+                );
             }
         }
         prev = layer;

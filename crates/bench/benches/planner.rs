@@ -15,7 +15,11 @@ fn bench_dag_build(c: &mut Criterion) {
     for (label, job) in paper_jobs() {
         let space = full_space(&astra, &job);
         group.bench_function(&label, |b| {
-            b.iter(|| black_box(astra.build_dag(&job, &space)).soa().edges_stored())
+            b.iter(|| {
+                black_box(astra.build_dag(&job, &space))
+                    .soa()
+                    .edges_stored()
+            })
         });
     }
     group.finish();

@@ -16,7 +16,9 @@ fn bench_simulate_paper_jobs(c: &mut Criterion) {
         let plan = astra.plan(&job, Objective::fastest()).unwrap();
         group.bench_function(&label, |b| {
             b.iter(|| {
-                let config = SimConfig::deterministic(Platform::aws_lambda()).with_catalog(astra_pricing::PriceCatalog::aws_2020()).with_noise(0.1, 7);
+                let config = SimConfig::deterministic(Platform::aws_lambda())
+                    .with_catalog(astra_pricing::PriceCatalog::aws_2020())
+                    .with_noise(0.1, 7);
                 simulate(black_box(&job), &plan, config).unwrap().jct_s()
             })
         });
@@ -48,5 +50,9 @@ fn bench_simulate_wide_fanout(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_simulate_paper_jobs, bench_simulate_wide_fanout);
+criterion_group!(
+    benches,
+    bench_simulate_paper_jobs,
+    bench_simulate_wide_fanout
+);
 criterion_main!(benches);

@@ -33,7 +33,10 @@ fn bench_strategies(c: &mut Criterion) {
             b.iter(|| {
                 // Algorithm 1 may legitimately fail on binding budgets;
                 // the bench measures the attempt either way.
-                astra.plan(black_box(&job), objective).ok().map(|p| p.mappers())
+                astra
+                    .plan(black_box(&job), objective)
+                    .ok()
+                    .map(|p| p.mappers())
             })
         });
     }
@@ -52,10 +55,18 @@ fn bench_exhaustive_small_space(c: &mut Criterion) {
     let mut group = c.benchmark_group("exhaustive_vs_dag_3tiers");
     group.sample_size(10);
     group.bench_function("exhaustive", |b| {
-        b.iter(|| ex.plan_with_space(black_box(&job), objective, &space).unwrap().mappers())
+        b.iter(|| {
+            ex.plan_with_space(black_box(&job), objective, &space)
+                .unwrap()
+                .mappers()
+        })
     });
     group.bench_function("dag_exact_csp", |b| {
-        b.iter(|| dag.plan_with_space(black_box(&job), objective, &space).unwrap().mappers())
+        b.iter(|| {
+            dag.plan_with_space(black_box(&job), objective, &space)
+                .unwrap()
+                .mappers()
+        })
     });
     group.finish();
 }

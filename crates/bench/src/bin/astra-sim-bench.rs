@@ -103,9 +103,8 @@ fn run_suite(args: &BenchArgs) -> Value {
         // the worst case for instrumentation cost. The reports stay
         // bit-identical (telemetry never touches sim state); only the
         // wall-clock differs.
-        let tel = astra_telemetry::Telemetry::new(std::sync::Arc::new(
-            astra_telemetry::NullRecorder,
-        ));
+        let tel =
+            astra_telemetry::Telemetry::new(std::sync::Arc::new(astra_telemetry::NullRecorder));
         let (tel_mean, tel_min) = time_ms(args.samples, || {
             simulate(&job, &plan, config(7).with_telemetry(tel.clone()))
                 .expect("bench run succeeds")
@@ -212,8 +211,10 @@ fn run_suite(args: &BenchArgs) -> Value {
                 })
                 .collect();
             ids.iter()
-                .filter(|&&id| handle.await_done(id).expect("bench job vanished").status
-                    == astra_service::JobStatus::Done)
+                .filter(|&&id| {
+                    handle.await_done(id).expect("bench job vanished").status
+                        == astra_service::JobStatus::Done
+                })
                 .count()
         });
         let jobs_per_sec = SWEEP_RUNS as f64 / (svc_min / 1e3);
@@ -306,16 +307,13 @@ fn run_suite(args: &BenchArgs) -> Value {
             let handle = daemon.handle();
             let ids: Vec<_> = (0..RECOVERY_JOBS)
                 .map(|i| {
-                    let request = JobRequest::new(
-                        format!("recovery-{i}"),
-                        job.clone(),
-                        Objective::fastest(),
-                    )
-                    .with_sim(SimOptions {
-                        noise_cv: 0.0,
-                        seed: i,
-                        replications: 0,
-                    });
+                    let request =
+                        JobRequest::new(format!("recovery-{i}"), job.clone(), Objective::fastest())
+                            .with_sim(SimOptions {
+                                noise_cv: 0.0,
+                                seed: i,
+                                replications: 0,
+                            });
                     handle.submit(request)
                 })
                 .collect();

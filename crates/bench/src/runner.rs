@@ -46,7 +46,8 @@ impl BenchArgs {
         while i < argv.len() {
             let flag = argv[i].as_str();
             let value = |i: usize| -> Result<&String, String> {
-                argv.get(i + 1).ok_or(format!("flag '{flag}' needs a value"))
+                argv.get(i + 1)
+                    .ok_or(format!("flag '{flag}' needs a value"))
             };
             // Valueless flags advance by one, flag+value pairs by two.
             if flag == "--no-prune" {
@@ -71,8 +72,7 @@ impl BenchArgs {
                     args.samples = value(i)?.parse().map_err(|e| format!("--samples: {e}"))?
                 }
                 "--threads" => {
-                    args.threads =
-                        Some(value(i)?.parse().map_err(|e| format!("--threads: {e}"))?)
+                    args.threads = Some(value(i)?.parse().map_err(|e| format!("--threads: {e}"))?)
                 }
                 other => return Err(format!("unknown flag '{other}'")),
             }
@@ -185,7 +185,9 @@ pub fn run_cli(
         }
     };
     if let Some(n) = args.threads {
-        let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global();
     }
 
     let baseline: Option<Value> = args.check.as_ref().map(|baseline_path| {

@@ -446,7 +446,9 @@ mod tests {
     #[test]
     fn parses_simulate_with_noise_and_seed() {
         let cmd = parse(&argv("sim -w query --deadline 60 --noise 0.2 --seed 7")).unwrap();
-        let Command::Simulate(opts) = cmd else { panic!() };
+        let Command::Simulate(opts) = cmd else {
+            panic!()
+        };
         assert_eq!(opts.workload, WorkloadSpec::QueryUservisits);
         assert_eq!(opts.deadline_s, Some(60.0));
         assert_eq!(opts.noise_cv, 0.2);
@@ -455,7 +457,10 @@ mod tests {
 
     #[test]
     fn workload_aliases() {
-        assert_eq!(parse_workload("wc20").unwrap(), WorkloadSpec::wordcount_gb(20));
+        assert_eq!(
+            parse_workload("wc20").unwrap(),
+            WorkloadSpec::wordcount_gb(20)
+        );
         assert_eq!(parse_workload("SORT").unwrap(), WorkloadSpec::Sort100);
         assert!(parse_workload("nope").is_err());
     }
@@ -480,7 +485,9 @@ mod tests {
     #[test]
     fn frontier_parses() {
         let cmd = parse(&argv("frontier -w sort")).unwrap();
-        let Command::Frontier(opts) = cmd else { panic!() };
+        let Command::Frontier(opts) = cmd else {
+            panic!()
+        };
         assert_eq!(opts.workload, WorkloadSpec::Sort100);
         assert_eq!(opts.threads, None);
     }
@@ -494,7 +501,9 @@ mod tests {
 
         let cmd = parse(&argv("frontier -w sort -t 8")).unwrap();
         assert_eq!(cmd.threads(), Some(8));
-        let Command::Frontier(opts) = cmd else { panic!() };
+        let Command::Frontier(opts) = cmd else {
+            panic!()
+        };
         assert_eq!(opts.workload, WorkloadSpec::Sort100);
 
         // Default: no override.
@@ -540,7 +549,10 @@ mod tests {
         let Command::Serve(opts) = cmd else { panic!() };
         assert_eq!(opts, ServeOpts::default());
 
-        let cmd = parse(&argv("serve --jobs 20 --workers 4 --reps 2 --seed 7 --metrics")).unwrap();
+        let cmd = parse(&argv(
+            "serve --jobs 20 --workers 4 --reps 2 --seed 7 --metrics",
+        ))
+        .unwrap();
         assert!(cmd.metrics());
         let Command::Serve(opts) = cmd else { panic!() };
         assert_eq!(opts.jobs, 20);
@@ -555,14 +567,26 @@ mod tests {
         assert!(cmd.job_opts().is_none());
 
         // Zero jobs or workers is meaningless.
-        assert!(matches!(parse(&argv("serve --jobs 0")), Err(ParseError::BadFlag(_))));
-        assert!(matches!(parse(&argv("serve --workers 0")), Err(ParseError::BadFlag(_))));
-        assert!(matches!(parse(&argv("serve --wat")), Err(ParseError::BadFlag(_))));
+        assert!(matches!(
+            parse(&argv("serve --jobs 0")),
+            Err(ParseError::BadFlag(_))
+        ));
+        assert!(matches!(
+            parse(&argv("serve --workers 0")),
+            Err(ParseError::BadFlag(_))
+        ));
+        assert!(matches!(
+            parse(&argv("serve --wat")),
+            Err(ParseError::BadFlag(_))
+        ));
     }
 
     #[test]
     fn submit_parses_job_flags_plus_service_flags() {
-        let cmd = parse(&argv("submit -w sort --budget 4 --workers 3 --reps 2 --json --seed 9")).unwrap();
+        let cmd = parse(&argv(
+            "submit -w sort --budget 4 --workers 3 --reps 2 --json --seed 9",
+        ))
+        .unwrap();
         let Command::Submit(opts) = cmd else { panic!() };
         assert_eq!(opts.job.workload, WorkloadSpec::Sort100);
         assert_eq!(opts.job.budget, Some(4.0));
@@ -579,8 +603,14 @@ mod tests {
         assert_eq!(opts.reps, 1);
         assert!(!opts.json);
 
-        assert!(matches!(parse(&argv("submit --workers")), Err(ParseError::MissingValue(_))));
-        assert!(matches!(parse(&argv("submit --wat 3")), Err(ParseError::BadFlag(_))));
+        assert!(matches!(
+            parse(&argv("submit --workers")),
+            Err(ParseError::MissingValue(_))
+        ));
+        assert!(matches!(
+            parse(&argv("submit --wat 3")),
+            Err(ParseError::BadFlag(_))
+        ));
     }
 
     #[test]
@@ -604,7 +634,10 @@ mod tests {
 
     #[test]
     fn serve_journal_parses() {
-        let cmd = parse(&argv("serve --listen 127.0.0.1:0 --journal /tmp/astra.journal")).unwrap();
+        let cmd = parse(&argv(
+            "serve --listen 127.0.0.1:0 --journal /tmp/astra.journal",
+        ))
+        .unwrap();
         let Command::Serve(opts) = cmd else { panic!() };
         assert_eq!(opts.journal.as_deref(), Some("/tmp/astra.journal"));
 
@@ -621,8 +654,10 @@ mod tests {
 
     #[test]
     fn submit_connect_and_tenant_parse() {
-        let cmd =
-            parse(&argv("submit -w wc1 --connect 127.0.0.1:7878 --tenant acme --json")).unwrap();
+        let cmd = parse(&argv(
+            "submit -w wc1 --connect 127.0.0.1:7878 --tenant acme --json",
+        ))
+        .unwrap();
         let Command::Submit(opts) = cmd else { panic!() };
         assert_eq!(opts.connect.as_deref(), Some("127.0.0.1:7878"));
         assert_eq!(opts.tenant.as_deref(), Some("acme"));

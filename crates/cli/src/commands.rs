@@ -10,8 +10,8 @@ use astra_model::{JobSpec, Platform};
 use astra_pricing::PriceCatalog;
 use astra_service::net::{NetClient, NetConfig, NetServer, PROTO_VERSION};
 use astra_service::{wire, JobRequest, ServiceConfig, ServiceDaemon, SimOptions};
-use serde_json::Value;
 use astra_workloads::WorkloadSpec;
+use serde_json::Value;
 
 use crate::args::{JobOpts, ServeOpts, SubmitOpts};
 
@@ -33,7 +33,11 @@ fn phase_table(report: &SimReport, out: &mut dyn Write) -> std::io::Result<()> {
     writeln!(out, "\nPhase breakdown (exclusive, rows sum to JCT):")?;
     for (label, d) in breakdown.rows() {
         let secs = d.as_secs_f64();
-        let pct = if total > 0.0 { 100.0 * secs / total } else { 0.0 };
+        let pct = if total > 0.0 {
+            100.0 * secs / total
+        } else {
+            0.0
+        };
         writeln!(out, "  {label:<14} {secs:>9.3}s  {pct:>5.1}%")?;
     }
     writeln!(out, "  {:<14} {:>9.3}s  100.0%", "total (JCT)", total)?;
@@ -84,7 +88,10 @@ pub fn workloads(out: &mut dyn Write) -> std::io::Result<()> {
             job.profile.name
         )?;
     }
-    writeln!(out, "\nNames: wordcount-1gb wordcount-10gb wordcount-20gb sort-100gb query")
+    writeln!(
+        out,
+        "\nNames: wordcount-1gb wordcount-10gb wordcount-20gb sort-100gb query"
+    )
 }
 
 /// `astra plan`.
@@ -122,7 +129,8 @@ pub fn plan(opts: JobOpts, out: &mut dyn Write) -> std::io::Result<()> {
 pub fn simulate(opts: JobOpts, out: &mut dyn Write) -> std::io::Result<()> {
     match plan_job(&opts) {
         Ok((job, plan)) => {
-            let config = SimConfig::deterministic(Platform::aws_lambda()).with_noise(opts.noise_cv, opts.seed);
+            let config = SimConfig::deterministic(Platform::aws_lambda())
+                .with_noise(opts.noise_cv, opts.seed);
             match run_sim(&job, &plan, config) {
                 Ok(report) => {
                     writeln!(out, "Plan      : {}", plan.summary())?;
@@ -200,11 +208,15 @@ pub fn baselines(opts: JobOpts, out: &mut dyn Write) -> std::io::Result<()> {
 pub fn timeline(opts: JobOpts, out: &mut dyn Write) -> std::io::Result<()> {
     match plan_job(&opts) {
         Ok((job, plan)) => {
-            let config = SimConfig::deterministic(Platform::aws_lambda()).with_noise(opts.noise_cv, opts.seed);
+            let config = SimConfig::deterministic(Platform::aws_lambda())
+                .with_noise(opts.noise_cv, opts.seed);
             match run_sim(&job, &plan, config) {
                 Ok(report) => {
                     writeln!(out, "{} — JCT {:.1}s", plan.summary(), report.jct_s())?;
-                    writeln!(out, "legend: c cold-start | r GET | # compute | w PUT | . waiting | q queued\n")?;
+                    writeln!(
+                        out,
+                        "legend: c cold-start | r GET | # compute | w PUT | . waiting | q queued\n"
+                    )?;
                     write!(out, "{}", report.trace.ascii_gantt(100))?;
                     if opts.metrics {
                         phase_table(&report, out)?;
@@ -323,12 +335,13 @@ pub fn serve(opts: ServeOpts, out: &mut dyn Write) -> std::io::Result<()> {
                 1 => Objective::cheapest(),
                 _ => Objective::min_time_with_budget_dollars(8.0),
             };
-            let request = JobRequest::new(format!("{}#{i}", spec.label()), spec.into_job(), objective)
-                .with_sim(SimOptions {
-                    noise_cv: opts.noise_cv,
-                    seed: opts.seed + i as u64,
-                    replications: opts.reps,
-                });
+            let request =
+                JobRequest::new(format!("{}#{i}", spec.label()), spec.into_job(), objective)
+                    .with_sim(SimOptions {
+                        noise_cv: opts.noise_cv,
+                        seed: opts.seed + i as u64,
+                        replications: opts.reps,
+                    });
             handle.submit(request)
         })
         .collect();
@@ -343,7 +356,12 @@ pub fn serve(opts: ServeOpts, out: &mut dyn Write) -> std::io::Result<()> {
         let (pred_jct, pred_cost) = snap
             .plan
             .as_ref()
-            .map(|p| (format!("{:.1}s", p.predicted_jct_s), p.predicted_cost.to_string()))
+            .map(|p| {
+                (
+                    format!("{:.1}s", p.predicted_jct_s),
+                    p.predicted_cost.to_string(),
+                )
+            })
             .unwrap_or_else(|| ("-".into(), "-".into()));
         let sim_jct = snap
             .sim
@@ -360,7 +378,11 @@ pub fn serve(opts: ServeOpts, out: &mut dyn Write) -> std::io::Result<()> {
             pred_cost,
             sim_jct,
             snap.metrics.queue_wait_ns as f64 / 1e6,
-            if snap.session_cache_hit { "hit" } else { "miss" },
+            if snap.session_cache_hit {
+                "hit"
+            } else {
+                "miss"
+            },
         )?;
         if let Some(reason) = &snap.reason {
             writeln!(out, "     reason: {reason}")?;
@@ -444,8 +466,8 @@ fn submit_over_tcp(
             ))
         })?;
     if opts.json {
-        let body = serde_json::to_string_pretty(&job)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let body =
+            serde_json::to_string_pretty(&job).map_err(|e| std::io::Error::other(e.to_string()))?;
         return writeln!(out, "{body}");
     }
     wire_snapshot_table(&job, out)
@@ -456,14 +478,16 @@ fn submit_over_tcp(
 /// snapshot.
 pub fn submit(opts: SubmitOpts, out: &mut dyn Write) -> std::io::Result<()> {
     let workload = opts.job.workload;
-    let mut request =
-        JobRequest::new(workload.label(), workload.into_job(), objective_for(&opts.job)).with_sim(
-            SimOptions {
-                noise_cv: opts.job.noise_cv,
-                seed: opts.job.seed,
-                replications: opts.reps,
-            },
-        );
+    let mut request = JobRequest::new(
+        workload.label(),
+        workload.into_job(),
+        objective_for(&opts.job),
+    )
+    .with_sim(SimOptions {
+        noise_cv: opts.job.noise_cv,
+        seed: opts.job.seed,
+        replications: opts.reps,
+    });
     if let Some(tenant) = &opts.tenant {
         request = request.with_tenant(tenant.clone());
     }
@@ -510,7 +534,11 @@ pub fn submit(opts: SubmitOpts, out: &mut dyn Write) -> std::io::Result<()> {
         snap.metrics.queue_wait_ns as f64 / 1e6,
         snap.metrics.plan_ns as f64 / 1e6,
         snap.metrics.sim_ns as f64 / 1e6,
-        if snap.session_cache_hit { "hit" } else { "miss" },
+        if snap.session_cache_hit {
+            "hit"
+        } else {
+            "miss"
+        },
     )
 }
 
@@ -664,7 +692,9 @@ mod tests {
 
     #[test]
     fn baselines_table_includes_astra_row() {
-        let text = capture(crate::Command::Baselines(opts(WorkloadSpec::wordcount_gb(1))));
+        let text = capture(crate::Command::Baselines(opts(WorkloadSpec::wordcount_gb(
+            1,
+        ))));
         assert!(text.contains("Baseline 1"));
         assert!(text.contains("Astra"));
     }
@@ -682,7 +712,14 @@ mod tests {
     #[test]
     fn help_mentions_every_command() {
         let text = capture(crate::Command::Help);
-        for cmd in ["workloads", "plan", "simulate", "baselines", "timeline", "frontier"] {
+        for cmd in [
+            "workloads",
+            "plan",
+            "simulate",
+            "baselines",
+            "timeline",
+            "frontier",
+        ] {
             assert!(text.contains(cmd), "missing {cmd}");
         }
     }
@@ -719,7 +756,10 @@ mod tests {
         assert!(text.contains("over 2 reps"), "{text}");
 
         // --json emits the wire encoding of the same snapshot.
-        let json = capture(crate::Command::Submit(crate::args::SubmitOpts { json: true, ..opts }));
+        let json = capture(crate::Command::Submit(crate::args::SubmitOpts {
+            json: true,
+            ..opts
+        }));
         assert!(json.contains("\"status\": \"DONE\""), "{json}");
         assert!(json.contains("\"predicted_cost_nanos\""), "{json}");
     }

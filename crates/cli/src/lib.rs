@@ -28,7 +28,9 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<()
         // Pin the planner's parallelism before any parallel call runs.
         // Plans are identical for every thread count (the planner's
         // determinism guarantee); this only changes wall-clock.
-        let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global();
     }
 
     let trace_out = command.trace_out().map(String::from);
@@ -64,7 +66,10 @@ pub fn run(command: Command, out: &mut dyn std::io::Write) -> std::io::Result<()
         }
         if let Some(path) = trace_out {
             rec.write_to(&path)?;
-            writeln!(out, "trace written to {path} (open in chrome://tracing or Perfetto)")?;
+            writeln!(
+                out,
+                "trace written to {path} (open in chrome://tracing or Perfetto)"
+            )?;
         }
     }
     result

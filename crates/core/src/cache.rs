@@ -332,9 +332,8 @@ impl<'a> ModelCache<'a> {
         self.job.profile.validate();
 
         let mapper = (*self.mapper_phase(config.mapper_mem_mb, config.objects_per_mapper)).clone();
-        let structure = (*self
-            .reduce_structure(config.objects_per_mapper, config.objects_per_reducer))
-        .clone();
+        let structure =
+            (*self.reduce_structure(config.objects_per_mapper, config.objects_per_reducer)).clone();
         let times = (*self.reduce_tier_times(
             config.objects_per_mapper,
             config.objects_per_reducer,

@@ -3,8 +3,8 @@
 
 use astra_model::evaluate::check_feasibility;
 use astra_model::perf::{
-    coordinator_compute_secs, coordinator_state_put_secs, mapper_phase, reduce_structure_from_steps,
-    reduce_tier_times, PerfBreakdown, ReducePhase,
+    coordinator_compute_secs, coordinator_state_put_secs, mapper_phase,
+    reduce_structure_from_steps, reduce_tier_times, PerfBreakdown, ReducePhase,
 };
 use astra_model::schedule::{explicit_schedule, schedule_steps};
 use astra_model::{cost, Evaluation, Infeasibility, JobConfig, JobSpec, Platform};
@@ -213,8 +213,13 @@ mod tests {
     fn per_reducer_plan_matches_full_perf() {
         let platform = Platform::paper_literal(10.0);
         let catalog = PriceCatalog::aws_2020();
-        let plan = Plan::evaluate(&job(), &platform, &catalog, spec(2, ReduceSpec::PerReducer(2)))
-            .unwrap();
+        let plan = Plan::evaluate(
+            &job(),
+            &platform,
+            &catalog,
+            spec(2, ReduceSpec::PerReducer(2)),
+        )
+        .unwrap();
         let config = JobConfig {
             mapper_mem_mb: 128,
             coordinator_mem_mb: 128,
@@ -261,8 +266,13 @@ mod tests {
     fn summary_mentions_key_numbers() {
         let platform = Platform::paper_literal(10.0);
         let catalog = PriceCatalog::aws_2020();
-        let plan =
-            Plan::evaluate(&job(), &platform, &catalog, spec(2, ReduceSpec::PerReducer(2))).unwrap();
+        let plan = Plan::evaluate(
+            &job(),
+            &platform,
+            &catalog,
+            spec(2, ReduceSpec::PerReducer(2)),
+        )
+        .unwrap();
         let s = plan.summary();
         assert!(s.contains("k_M=2"));
         assert!(s.contains("mappers=5"));

@@ -277,7 +277,9 @@ impl PlannerSession {
                 &self.telemetry,
             ),
             Some((dag, potentials)) => {
-                let _span = self.telemetry.wall_span("planner", "session.solve", "planner");
+                let _span = self
+                    .telemetry
+                    .wall_span("planner", "session.solve", "planner");
                 solve_on_dag_with_potentials(
                     dag,
                     potentials,
@@ -383,7 +385,11 @@ mod tests {
     #[test]
     fn session_answers_match_cold_plans() {
         let job = job();
-        for strategy in [Strategy::Algorithm1, Strategy::ExactCsp, Strategy::Exhaustive] {
+        for strategy in [
+            Strategy::Algorithm1,
+            Strategy::ExactCsp,
+            Strategy::Exhaustive,
+        ] {
             let (telemetry, recorder) = astra_telemetry::sinks::in_memory();
             let astra = Astra::with_defaults()
                 .with_strategy(strategy)
@@ -404,8 +410,16 @@ mod tests {
                 assert_eq!(warm, cold, "{strategy:?}: budget step {step}");
             }
             // An exhaustive sweep never reads a DAG, so none is built.
-            let dags = recorder.spans().iter().filter(|s| &*s.name == "build_dag").count();
-            let expected = if strategy == Strategy::Exhaustive { 0 } else { 9 };
+            let dags = recorder
+                .spans()
+                .iter()
+                .filter(|s| &*s.name == "build_dag")
+                .count();
+            let expected = if strategy == Strategy::Exhaustive {
+                0
+            } else {
+                9
+            };
             assert_eq!(dags, expected, "{strategy:?}");
         }
     }

@@ -49,7 +49,11 @@ const BOUND_EPS: f64 = 1e-9;
 /// oracle the guided solver is checked against — and plain Dijkstra in
 /// every Algorithm 1 round. Returns the chosen configuration, or `None`
 /// when no feasible configuration exists.
-pub fn solve_on_dag(dag: &PlannerDag, objective: Objective, strategy: Strategy) -> Option<JobConfig> {
+pub fn solve_on_dag(
+    dag: &PlannerDag,
+    objective: Objective,
+    strategy: Strategy,
+) -> Option<JobConfig> {
     solve(dag, None, objective, strategy, &Telemetry::disabled())
 }
 
@@ -319,7 +323,10 @@ mod tests {
     use super::*;
     use astra_model::WorkloadProfile;
 
-    fn setup(n: usize, tiers: &[u32]) -> (JobSpec, Platform, PriceCatalog, ConfigSpace, PlannerDag) {
+    fn setup(
+        n: usize,
+        tiers: &[u32],
+    ) -> (JobSpec, Platform, PriceCatalog, ConfigSpace, PlannerDag) {
         let job = JobSpec::uniform("t", n, 1.0, WorkloadProfile::uniform_test());
         let platform = Platform::paper_literal(10.0);
         let catalog = PriceCatalog::aws_2020();
@@ -445,9 +452,7 @@ mod tests {
         let o = Objective::MinimizeTime {
             budget: Money::from_nanos(1),
         };
-        assert!(
-            solve_on_dag_with_potentials(&dag, &pots, o, Strategy::Algorithm1, &tel).is_none()
-        );
+        assert!(solve_on_dag_with_potentials(&dag, &pots, o, Strategy::Algorithm1, &tel).is_none());
     }
 
     #[test]
@@ -457,7 +462,10 @@ mod tests {
             budget: Money::from_nanos(1),
         };
         for strategy in [Strategy::Algorithm1, Strategy::ExactCsp] {
-            assert!(solve_on_dag(&dag, objective, strategy).is_none(), "{strategy:?}");
+            assert!(
+                solve_on_dag(&dag, objective, strategy).is_none(),
+                "{strategy:?}"
+            );
         }
     }
 

@@ -81,7 +81,11 @@ impl ConfigSpace {
             // k_M values with ceil(n/k_M) == j form the contiguous range
             // [ceil(n/j), floor((n-1)/(j-1))] (unbounded above for j=1).
             let lo = n.div_ceil(j).max(min_k_m);
-            let hi = if j == 1 { n } else { ((n - 1) / (j - 1)).min(n) };
+            let hi = if j == 1 {
+                n
+            } else {
+                ((n - 1) / (j - 1)).min(n)
+            };
             if lo > hi || n.div_ceil(lo) != j {
                 continue; // j unachievable within [min_k_m, n]
             }

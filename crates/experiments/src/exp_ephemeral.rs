@@ -19,7 +19,11 @@ use crate::output::Output;
 /// Plan and measure one workload on a platform variant.
 fn best_on(platform: Platform, spec: WorkloadSpec) -> (f64, f64, String) {
     let job = spec.into_job();
-    let astra = Astra::new(platform.clone(), PriceCatalog::aws_2020(), Strategy::ExactCsp);
+    let astra = Astra::new(
+        platform.clone(),
+        PriceCatalog::aws_2020(),
+        Strategy::ExactCsp,
+    );
     // Compare at matched QoS: cheapest plan within 2x of the S3-fastest.
     let fastest_s3 = harness::astra().plan(&job, Objective::fastest()).unwrap();
     let deadline = fastest_s3.predicted_jct_s() * 2.0;
@@ -61,8 +65,7 @@ pub fn run(out: &mut Output) {
         WorkloadSpec::QueryUservisits,
     ] {
         let (s3_jct, s3_cost, _) = best_on(harness::platform(), spec);
-        let (cache_jct, cache_cost, plan) =
-            best_on(harness::platform().with_elasticache(), spec);
+        let (cache_jct, cache_cost, plan) = best_on(harness::platform().with_elasticache(), spec);
         rows.push(vec![
             spec.label(),
             format!("{s3_jct:.1}"),
@@ -110,6 +113,9 @@ mod tests {
         );
         // At matched QoS both meet the deadline; the cache platform must
         // not be slower by more than noise.
-        assert!(cache_jct <= s3_jct * 1.15, "cache {cache_jct} vs s3 {s3_jct}");
+        assert!(
+            cache_jct <= s3_jct * 1.15,
+            "cache {cache_jct} vs s3 {s3_jct}"
+        );
     }
 }

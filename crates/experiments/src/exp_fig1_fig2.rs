@@ -84,7 +84,10 @@ pub fn run(out: &mut Output) {
             jct_rows.push(vec![k.to_string()]);
             cost_rows.push(vec![k.to_string()]);
         }
-        jct_rows.last_mut().unwrap().push(format!("{:.2}", measured.jct_s));
+        jct_rows
+            .last_mut()
+            .unwrap()
+            .push(format!("{:.2}", measured.jct_s));
         cost_rows
             .last_mut()
             .unwrap()

@@ -22,8 +22,10 @@ pub fn run(out: &mut Output) {
 
     let job = motivation_job();
     let mut results = Vec::new();
-    for (label, k, mem) in [("(a) 3 objects per lambda, 128 MB", 3usize, 128u32),
-                            ("(b) 2 objects per lambda, 3008 MB", 2, 3008)] {
+    for (label, k, mem) in [
+        ("(a) 3 objects per lambda, 128 MB", 3usize, 128u32),
+        ("(b) 2 objects per lambda, 3008 MB", 2, 3008),
+    ] {
         let spec = PlanSpec {
             mapper_mem_mb: mem,
             coordinator_mem_mb: mem,
@@ -65,7 +67,11 @@ pub fn run(out: &mut Output) {
     let faster = results[1]["jct_s"].as_f64().unwrap() < results[0]["jct_s"].as_f64().unwrap();
     out.line(format!(
         "Observation: config (b) has more reduce steps but {} config (a).",
-        if faster { "still beats" } else { "does NOT beat" }
+        if faster {
+            "still beats"
+        } else {
+            "does NOT beat"
+        }
     ));
     out.record("configs", json!(results));
 }

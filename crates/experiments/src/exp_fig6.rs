@@ -93,26 +93,35 @@ mod tests {
         let (_, small) = eval(128);
         let (_, mid) = eval(1536);
         let (_, big) = eval(3008);
-        assert!(mid.jct_s < small.jct_s / 2.0, "big speedup below the ceiling");
+        assert!(
+            mid.jct_s < small.jct_s / 2.0,
+            "big speedup below the ceiling"
+        );
         // Past the ceiling: within a few percent (only noise-free compute
         // shares the plateau; 1536 -> 1792 still gains a little).
         let rel = (mid.jct_s - big.jct_s).abs() / mid.jct_s;
-        assert!(rel < 0.25, "plateau: 1536 {} vs 3008 {}", mid.jct_s, big.jct_s);
+        assert!(
+            rel < 0.25,
+            "plateau: 1536 {} vs 3008 {}",
+            mid.jct_s,
+            big.jct_s
+        );
     }
 
     #[test]
     fn cost_rises_at_the_top_end() {
         let (_, at_ceiling) = eval(1792);
         let (_, top) = eval(3008);
-        assert!(top.cost > at_ceiling.cost, "paying for memory that adds no speed");
+        assert!(
+            top.cost > at_ceiling.cost,
+            "paying for memory that adds no speed"
+        );
     }
 
     #[test]
     fn mapper_time_tracks_memory() {
         let (p128, _) = eval(128);
         let (p1024, _) = eval(1024);
-        assert!(
-            p1024.evaluation.perf.mapper.duration_s < p128.evaluation.perf.mapper.duration_s
-        );
+        assert!(p1024.evaluation.perf.mapper.duration_s < p128.evaluation.perf.mapper.duration_s);
     }
 }

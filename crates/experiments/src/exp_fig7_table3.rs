@@ -117,7 +117,10 @@ pub fn run(out: &mut Output) {
             format!("{:.1}", c.baselines[0].1.jct_s),
             format!("{:.1}", c.baselines[1].1.jct_s),
             format!("{:.1}", c.baselines[2].1.jct_s),
-            format!("{:.1}%", harness::improvement_pct(c.astra.jct_s, best_baseline)),
+            format!(
+                "{:.1}%",
+                harness::improvement_pct(c.astra.jct_s, best_baseline)
+            ),
             format!("({}, {})", c.budget, c.astra.cost),
         ]);
         table3_rows.push(table3_row(&spec.label(), &job, &c.astra_plan));
@@ -126,7 +129,11 @@ pub fn run(out: &mut Output) {
         let breakdown = c.astra.last_report.phase_breakdown();
         let jct = breakdown.total().as_secs_f64();
         let pct = |d: astra_simcore::SimDuration| {
-            if jct > 0.0 { 100.0 * d.as_secs_f64() / jct } else { 0.0 }
+            if jct > 0.0 {
+                100.0 * d.as_secs_f64() / jct
+            } else {
+                0.0
+            }
         };
         let mut phase_row = vec![spec.label(), format!("{jct:.1}")];
         phase_row.extend(
@@ -154,10 +161,7 @@ pub fn run(out: &mut Output) {
                     spec.label(),
                     name,
                     m.timeout_violations.len(),
-                    m.timeout_violations
-                        .first()
-                        .cloned()
-                        .unwrap_or_default()
+                    m.timeout_violations.first().cloned().unwrap_or_default()
                 ));
             }
         }

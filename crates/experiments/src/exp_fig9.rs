@@ -85,7 +85,12 @@ mod tests {
             .unwrap();
         let astra = harness::measure(&job, &plan);
         let emr = EmrCluster::paper_setup().run(&job);
-        assert!(astra.jct_s < emr.jct_s, "astra {} emr {}", astra.jct_s, emr.jct_s);
+        assert!(
+            astra.jct_s < emr.jct_s,
+            "astra {} emr {}",
+            astra.jct_s,
+            emr.jct_s
+        );
         assert!(astra.cost.dollars() < emr.cost.dollars());
     }
 }

@@ -55,12 +55,7 @@ pub fn run(out: &mut Output) {
             let mut ideal = harness::platform();
             ideal.cold_start_s = 0.0;
             ideal.timeout_s = f64::INFINITY;
-            let clean = simulate(
-                &job,
-                &plan,
-                SimConfig::deterministic(ideal),
-            )
-            .expect("clean sim");
+            let clean = simulate(&job, &plan, SimConfig::deterministic(ideal)).expect("clean sim");
             clean_errs.push(relative_error(clean.jct_s(), plan.predicted_jct_s()));
             // Realistic platform: cold starts + 10% CV noise.
             let noisy = harness::measure(&job, &plan);
@@ -113,12 +108,7 @@ mod tests {
             let mut ideal = harness::platform();
             ideal.cold_start_s = 0.0;
             ideal.timeout_s = f64::INFINITY;
-            let clean = simulate(
-                &job,
-                &plan,
-                SimConfig::deterministic(ideal),
-            )
-            .unwrap();
+            let clean = simulate(&job, &plan, SimConfig::deterministic(ideal)).unwrap();
             let err = relative_error(clean.jct_s(), plan.predicted_jct_s());
             assert!(err < 1e-6, "{plan_spec:?}: err {err}");
         }

@@ -17,7 +17,11 @@ use crate::output::Output;
 /// The three provider setups.
 pub fn providers() -> Vec<(&'static str, Platform, PriceCatalog)> {
     vec![
-        ("AWS Lambda", Platform::aws_lambda(), PriceCatalog::aws_2020()),
+        (
+            "AWS Lambda",
+            Platform::aws_lambda(),
+            PriceCatalog::aws_2020(),
+        ),
         (
             "Google Cloud Functions",
             Platform::gcp_functions(),

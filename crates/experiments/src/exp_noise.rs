@@ -59,7 +59,9 @@ pub fn run(out: &mut Output) {
                 let report = simulate(
                     &job,
                     &plan,
-                    SimConfig::deterministic(relaxed.clone()).with_noise(noise, 1000 + seed).with_failures(failure, 2),
+                    SimConfig::deterministic(relaxed.clone())
+                        .with_noise(noise, 1000 + seed)
+                        .with_failures(failure, 2),
                 )
                 .expect("retries absorb failures at these rates");
                 if report.jct_s() <= deadline {

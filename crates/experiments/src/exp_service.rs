@@ -24,7 +24,11 @@ pub const JOBS: usize = 200;
 pub const WORKER_POOLS: [usize; 3] = [1, 2, 8];
 
 fn library_planner() -> Astra {
-    Astra::new(Platform::aws_lambda(), PriceCatalog::aws_2020(), Strategy::ExactCsp)
+    Astra::new(
+        Platform::aws_lambda(),
+        PriceCatalog::aws_2020(),
+        Strategy::ExactCsp,
+    )
 }
 
 /// The deterministic 200-job mix: four job families crossed with five
@@ -196,7 +200,14 @@ pub fn run(out: &mut Output) {
     }
 
     out.table(
-        &["workers", "wall", "jobs/s", "speedup", "results", "cache hits"],
+        &[
+            "workers",
+            "wall",
+            "jobs/s",
+            "speedup",
+            "results",
+            "cache hits",
+        ],
         &rows,
     );
     out.blank();

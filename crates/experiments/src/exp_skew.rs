@@ -40,8 +40,7 @@ pub fn skewed_job(cv: f64, seed: u64) -> JobSpec {
 /// same mapper count. Returns `(consecutive_s, lpt_s)`.
 pub fn compare_assignment(job: &JobSpec, k_m: usize, mem: u32) -> (f64, f64) {
     let platform = harness::platform();
-    let consecutive =
-        astra_model::perf::mapper_phase(job, &platform, mem, k_m);
+    let consecutive = astra_model::perf::mapper_phase(job, &platform, mem, k_m);
     let workers = consecutive.per_mapper_secs.len();
     let lpt_assign = assign_lpt(&job.object_sizes_mb, workers);
     let lpt = mapper_phase_with_assignment(job, &platform, mem, &lpt_assign);
@@ -58,11 +57,7 @@ pub fn run(out: &mut Output) {
     let mut json_rows = Vec::new();
     for cv in [0.0, 0.25, 0.5, 1.0, 2.0] {
         let job = skewed_job(cv, 7);
-        let max_obj = job
-            .object_sizes_mb
-            .iter()
-            .cloned()
-            .fold(0.0f64, f64::max);
+        let max_obj = job.object_sizes_mb.iter().cloned().fold(0.0f64, f64::max);
         for (k_m, mem) in [(2usize, 1024u32), (4, 1024)] {
             let (cons, lpt) = compare_assignment(&job, k_m, mem);
             rows.push(vec![
@@ -105,8 +100,12 @@ pub fn run(out: &mut Output) {
     let uniform = astra_workloads::WorkloadSpec::wordcount_gb(1).into_job();
     let skewed = skewed_job(1.0, 7);
     let astra = harness::astra();
-    let up: Plan = astra.plan(&uniform, astra_core::Objective::fastest()).unwrap();
-    let sp: Plan = astra.plan(&skewed, astra_core::Objective::fastest()).unwrap();
+    let up: Plan = astra
+        .plan(&uniform, astra_core::Objective::fastest())
+        .unwrap();
+    let sp: Plan = astra
+        .plan(&skewed, astra_core::Objective::fastest())
+        .unwrap();
     out.blank();
     out.line(format!("uniform job fastest plan: {}", up.summary()));
     out.line(format!("skewed  job fastest plan: {}", sp.summary()));

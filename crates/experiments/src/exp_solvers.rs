@@ -49,9 +49,8 @@ pub fn run(out: &mut Output) {
 
             let (gap, alg1_result) = match (&exact, &alg1) {
                 (Ok(e), Ok(a)) => {
-                    let gap = (a.predicted_jct_s() - e.predicted_jct_s())
-                        / e.predicted_jct_s()
-                        * 100.0;
+                    let gap =
+                        (a.predicted_jct_s() - e.predicted_jct_s()) / e.predicted_jct_s() * 100.0;
                     (format!("{gap:.2}%"), format!("{:.1}s", a.predicted_jct_s()))
                 }
                 (Ok(_), Err(_)) => ("FAILED".to_string(), "gave up".to_string()),

@@ -113,11 +113,7 @@ pub fn measure_batch(cases: &[(&JobSpec, &Plan)], noise_cv: f64, seeds: &[u64]) 
 
 /// Run the `cases × seeds` grid in parallel; returns per-case report
 /// vectors in seed order.
-fn measure_many(
-    cases: &[(&JobSpec, &Plan)],
-    noise_cv: f64,
-    seeds: &[u64],
-) -> Vec<Vec<SimReport>> {
+fn measure_many(cases: &[(&JobSpec, &Plan)], noise_cv: f64, seeds: &[u64]) -> Vec<Vec<SimReport>> {
     let mut relaxed = platform();
     relaxed.timeout_s = f64::INFINITY;
     let grid: Vec<SimCase<'_>> = cases

@@ -38,10 +38,10 @@ pub mod exp_multicloud;
 pub mod exp_noise;
 pub mod exp_service;
 pub mod exp_skew;
-pub mod exp_warm;
 pub mod exp_solvers;
 pub mod exp_spark;
 pub mod exp_table1;
+pub mod exp_warm;
 pub mod harness;
 pub mod output;
 
@@ -63,7 +63,9 @@ pub fn init_threads() {
                 eprintln!("--threads needs a positive integer");
                 std::process::exit(2);
             });
-        let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build_global();
     }
 }
 
@@ -81,7 +83,9 @@ pub struct TelemetryGuard {
 
 impl Drop for TelemetryGuard {
     fn drop(&mut self) {
-        let Some(rec) = self.recorder.take() else { return };
+        let Some(rec) = self.recorder.take() else {
+            return;
+        };
         astra_telemetry::install_global(astra_telemetry::Telemetry::disabled());
         if self.metrics {
             eprintln!("-- telemetry --");
@@ -91,9 +95,9 @@ impl Drop for TelemetryGuard {
         }
         if let Some(path) = &self.trace_out {
             match rec.write_to(path) {
-                Ok(()) => eprintln!(
-                    "trace written to {path} (open in chrome://tracing or Perfetto)"
-                ),
+                Ok(()) => {
+                    eprintln!("trace written to {path} (open in chrome://tracing or Perfetto)")
+                }
                 Err(e) => eprintln!("failed to write trace to {path}: {e}"),
             }
         }
@@ -111,15 +115,12 @@ impl Drop for TelemetryGuard {
 pub fn init() -> TelemetryGuard {
     init_threads();
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let trace_out = argv
-        .iter()
-        .position(|a| a == "--trace-out")
-        .map(|i| {
-            argv.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("--trace-out needs a path");
-                std::process::exit(2);
-            })
-        });
+    let trace_out = argv.iter().position(|a| a == "--trace-out").map(|i| {
+        argv.get(i + 1).cloned().unwrap_or_else(|| {
+            eprintln!("--trace-out needs a path");
+            std::process::exit(2);
+        })
+    });
     let metrics = argv.iter().any(|a| a == "--metrics");
     let recorder = if trace_out.is_some() || metrics {
         let rec = std::sync::Arc::new(astra_telemetry::sinks::ChromeTraceRecorder::new());

@@ -216,7 +216,10 @@ mod tests {
         let reports = batch.run();
         for (i, r) in reports.iter().enumerate() {
             let r = r.as_ref().unwrap();
-            assert!(r.invoice(&format!("f{i}")).is_some(), "run {i} out of order");
+            assert!(
+                r.invoice(&format!("f{i}")).is_some(),
+                "run {i} out of order"
+            );
         }
     }
 

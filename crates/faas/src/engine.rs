@@ -4,9 +4,7 @@ use std::sync::Arc;
 
 use astra_model::Platform;
 use astra_pricing::{Money, PriceCatalog};
-use astra_simcore::{
-    EventQueue, FifoTokens, NoiseModel, SimDuration, SimTime, SpanKind, TraceLog,
-};
+use astra_simcore::{EventQueue, FifoTokens, NoiseModel, SimDuration, SimTime, SpanKind, TraceLog};
 use astra_storage::StorageLedger;
 use astra_telemetry::{Clock, SpanRecord, Telemetry};
 
@@ -311,9 +309,14 @@ impl FaasSim {
         let reused = arena.is_some();
         let mut arena = arena.unwrap_or_else(SimArena::fresh);
         if tel_enabled {
-            config
-                .telemetry
-                .counter(if reused { "batch.arena.reuse" } else { "batch.arena.alloc" }, 1);
+            config.telemetry.counter(
+                if reused {
+                    "batch.arena.reuse"
+                } else {
+                    "batch.arena.alloc"
+                },
+                1,
+            );
         }
         for (key, size) in inputs {
             arena.ledger.register_preexisting(key.clone(), *size);
@@ -362,7 +365,14 @@ impl FaasSim {
     /// `self.tel_enabled` first so the disabled path never allocates the
     /// payload; `name` comes pre-interned from [`SpanNames`] so the hot
     /// path clones a refcount instead of allocating a string.
-    fn tel_span(&self, id: usize, name: &Arc<str>, kind: &'static str, start: SimTime, end: SimTime) {
+    fn tel_span(
+        &self,
+        id: usize,
+        name: &Arc<str>,
+        kind: &'static str,
+        start: SimTime,
+        end: SimTime,
+    ) {
         let tel = &self.config.telemetry;
         let wall = self.wall_anchor;
         let parent = self.states[id].span_id;
@@ -517,22 +527,21 @@ impl FaasSim {
                     }
                 }
                 let mem = self.states[id].spec.memory_mb;
-                let warm = self.config.container_reuse
-                    && self
-                        .warm_pool
-                        .get(&mem)
-                        .is_some_and(|&n| n > 0);
+                let warm =
+                    self.config.container_reuse && self.warm_pool.get(&mem).is_some_and(|&n| n > 0);
                 let cold = if warm {
                     *self.warm_pool.get_mut(&mem).expect("checked") -= 1;
                     self.warm_starts += 1;
                     SimDuration::ZERO
                 } else {
-                    self.noise
-                        .jitter(SimDuration::from_secs_f64(self.config.platform.cold_start_s))
+                    self.noise.jitter(SimDuration::from_secs_f64(
+                        self.config.platform.cold_start_s,
+                    ))
                 };
                 if cold > SimDuration::ZERO {
                     let name = self.states[id].name.clone();
-                    self.trace.record(name, SpanKind::ColdStart, now, now + cold);
+                    self.trace
+                        .record(name, SpanKind::ColdStart, now, now + cold);
                     if self.tel_enabled {
                         self.tel_span(id, &self.names.cold_start, "cold_start", now, now + cold);
                     }
@@ -560,18 +569,25 @@ impl FaasSim {
                     // PUT overwrites make the script idempotent.
                     self.states[id].op_idx = 0;
                     let now = self.queue.now();
-                    let cold = self
-                        .noise
-                        .jitter(SimDuration::from_secs_f64(self.config.platform.cold_start_s));
+                    let cold = self.noise.jitter(SimDuration::from_secs_f64(
+                        self.config.platform.cold_start_s,
+                    ));
                     if cold > SimDuration::ZERO {
                         let name = self.states[id].name.clone();
-                        self.trace.record(name, SpanKind::ColdStart, now, now + cold);
+                        self.trace
+                            .record(name, SpanKind::ColdStart, now, now + cold);
                     }
                     if self.tel_enabled {
                         self.config.telemetry.counter("engine.retries", 1);
                         // Annotated `retry` name so traces distinguish a
                         // first-launch cold start from a retry's.
-                        self.tel_span(id, &self.names.retry_cold_start, "cold_start", now, now + cold);
+                        self.tel_span(
+                            id,
+                            &self.names.retry_cold_start,
+                            "cold_start",
+                            now,
+                            now + cold,
+                        );
                     }
                     self.queue.schedule(now + cold, Event::Ready(id));
                     return Ok(());
@@ -597,7 +613,11 @@ impl FaasSim {
                 self.check_timeout(id)?;
                 let st = &mut self.states[id];
                 match &mut st.spec.ops[st.op_idx] {
-                    Op::Put { key, size_mb, store } => {
+                    Op::Put {
+                        key,
+                        size_mb,
+                        store,
+                    } => {
                         let (key, size, store) = (key.clone(), *size_mb, *store);
                         self.ledger_for(store).record_put(key, size, now);
                         self.states[id].op_idx += 1;
@@ -679,9 +699,7 @@ impl FaasSim {
                     self.config.platform.put_secs(mem, *size_mb)
                 }
             }
-            Op::Compute { secs_at_128 } => {
-                secs_at_128 / self.config.platform.speed_factor(mem)
-            }
+            Op::Compute { secs_at_128 } => secs_at_128 / self.config.platform.speed_factor(mem),
             // Launching a batch takes the platform's orchestration
             // overhead plus one invoke call per child; children arrive
             // when it completes (handled at OpDone).
@@ -746,7 +764,13 @@ impl FaasSim {
                     self.trace
                         .record(name, SpanKind::WaitChildren, wait_start, now);
                     if self.tel_enabled {
-                        self.tel_span(parent, &self.names.wait_children, "wait_children", wait_start, now);
+                        self.tel_span(
+                            parent,
+                            &self.names.wait_children,
+                            "wait_children",
+                            wait_start,
+                            now,
+                        );
                     }
                     self.check_timeout(parent)?;
                     return self.advance(parent);
@@ -818,8 +842,14 @@ mod tests {
                 LambdaSpec::new("fast", 1280, vec![Op::Compute { secs_at_128: 10.0 }]),
             ])
             .unwrap();
-        assert_eq!(report.invoice("slow").unwrap().duration(), SimDuration::from_secs(10));
-        assert_eq!(report.invoice("fast").unwrap().duration(), SimDuration::from_secs(1));
+        assert_eq!(
+            report.invoice("slow").unwrap().duration(),
+            SimDuration::from_secs(10)
+        );
+        assert_eq!(
+            report.invoice("fast").unwrap().duration(),
+            SimDuration::from_secs(1)
+        );
         assert_eq!(report.jct_s(), 10.0);
     }
 
@@ -908,7 +938,10 @@ mod tests {
         );
         // Parent: waits 7 s for c2, then computes 1 s.
         assert_eq!(report.jct_s(), 8.0);
-        assert_eq!(report.invoice("f").unwrap().duration(), SimDuration::from_secs(8));
+        assert_eq!(
+            report.invoice("f").unwrap().duration(),
+            SimDuration::from_secs(8)
+        );
     }
 
     #[test]
@@ -1148,12 +1181,9 @@ mod tests {
         let cold_only = FaasSim::new(SimConfig::deterministic(p.clone()), &[])
             .run(vec![spec.clone()])
             .unwrap();
-        let reused = FaasSim::new(
-            SimConfig::deterministic(p).with_container_reuse(),
-            &[],
-        )
-        .run(vec![spec])
-        .unwrap();
+        let reused = FaasSim::new(SimConfig::deterministic(p).with_container_reuse(), &[])
+            .run(vec![spec])
+            .unwrap();
         assert_eq!(cold_only.warm_starts, 0);
         assert_eq!(reused.warm_starts, 1);
         // One cold start saved = 1 s faster.
@@ -1177,12 +1207,9 @@ mod tests {
                 },
             ],
         );
-        let report = FaasSim::new(
-            SimConfig::deterministic(p).with_container_reuse(),
-            &[],
-        )
-        .run(vec![spec])
-        .unwrap();
+        let report = FaasSim::new(SimConfig::deterministic(p).with_container_reuse(), &[])
+            .run(vec![spec])
+            .unwrap();
         assert_eq!(report.warm_starts, 0);
     }
 
@@ -1242,7 +1269,9 @@ mod tests {
         let specs: Vec<LambdaSpec> = (0..20)
             .map(|i| LambdaSpec::new(format!("f{i}"), 128, vec![Op::Compute { secs_at_128: 1.0 }]))
             .collect();
-        let report = FaasSim::new(cfg.with_telemetry(tel), &[]).run(specs).unwrap();
+        let report = FaasSim::new(cfg.with_telemetry(tel), &[])
+            .run(specs)
+            .unwrap();
         assert!(report.crashes > 0);
         assert_eq!(rec.counter_value("engine.retries"), report.crashes);
         assert_eq!(rec.counter_value("engine.crashes"), report.crashes);
@@ -1258,7 +1287,13 @@ mod tests {
     fn arena_recycles_across_runs_and_error_paths() {
         let (tel, rec) = astra_telemetry::sinks::in_memory();
         let cfg = || SimConfig::deterministic(platform()).with_telemetry(tel.clone());
-        let specs = || vec![LambdaSpec::new("f", 128, vec![Op::Compute { secs_at_128: 1.0 }])];
+        let specs = || {
+            vec![LambdaSpec::new(
+                "f",
+                128,
+                vec![Op::Compute { secs_at_128: 1.0 }],
+            )]
+        };
         let a = FaasSim::new(cfg(), &[]).run(specs()).unwrap();
         let b = FaasSim::new(cfg(), &[]).run(specs()).unwrap();
         // Reused scratch leaks nothing: the second report is identical.
@@ -1285,6 +1320,9 @@ mod tests {
         let err = sim
             .run(vec![LambdaSpec::new("f", 100, vec![])])
             .unwrap_err();
-        assert!(matches!(err, SimError::InvalidMemory { memory_mb: 100, .. }));
+        assert!(matches!(
+            err,
+            SimError::InvalidMemory { memory_mb: 100, .. }
+        ));
     }
 }

@@ -92,7 +92,11 @@ impl SimReport {
     pub fn reprice_lambdas(&self, catalog: &PriceCatalog) -> Money {
         self.invoices
             .iter()
-            .map(|i| catalog.lambda.invocation_cost(i.memory_mb, i.duration().as_micros()))
+            .map(|i| {
+                catalog
+                    .lambda
+                    .invocation_cost(i.memory_mb, i.duration().as_micros())
+            })
             .sum()
     }
 

@@ -576,8 +576,7 @@ mod tests {
         assert_eq!(sol.weight, 6.0);
         assert_eq!(sol.resource, 2.0);
 
-        let unbounded =
-            csp(&g, s, t, f64::INFINITY).unwrap();
+        let unbounded = csp(&g, s, t, f64::INFINITY).unwrap();
         assert_eq!(unbounded.weight, 2.0);
     }
 
@@ -587,9 +586,7 @@ mod tests {
         let s = g.add_node(());
         let t = g.add_node(());
         g.add_edge(s, t, (1.0, 100.0));
-        assert!(
-            csp(&g, s, t, 50.0).is_none()
-        );
+        assert!(csp(&g, s, t, 50.0).is_none());
     }
 
     #[test]
@@ -658,12 +655,7 @@ mod tests {
     }
 
     /// Exhaustive DFS reference for randomized cross-checks.
-    fn brute_force(
-        g: &G,
-        s: NodeId,
-        t: NodeId,
-        bound: f64,
-    ) -> Option<(f64, f64)> {
+    fn brute_force(g: &G, s: NodeId, t: NodeId, bound: f64) -> Option<(f64, f64)> {
         #[allow(clippy::too_many_arguments)]
         fn dfs(
             g: &G,
@@ -864,11 +856,18 @@ mod tests {
         let mid: Vec<NodeId> = (0..5).map(|_| g.add_node(())).collect();
         let t = g.add_node(());
         for &m in &mid {
-            g.add_edge(s, m, (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0)));
-            g.add_edge(m, t, (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0)));
+            g.add_edge(
+                s,
+                m,
+                (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0)),
+            );
+            g.add_edge(
+                m,
+                t,
+                (rng.random_range(0.0..3.0), rng.random_range(0.0..3.0)),
+            );
         }
-        let sol =
-            csp(&g, s, t, 100.0).unwrap();
+        let sol = csp(&g, s, t, 100.0).unwrap();
         assert_eq!(sol.edges.len(), 2);
         assert_eq!(g.endpoints(sol.edges[0]).0, s);
         assert_eq!(g.endpoints(sol.edges[0]).1, g.endpoints(sol.edges[1]).0);

@@ -73,7 +73,16 @@ pub fn shortest_path<X: EdgeExpand>(
     match lb_weight {
         None => dijkstra_core(g, source, target, Unguided, enabled),
         // Dijkstra reads only the weight bound.
-        Some(lb) => dijkstra_core(g, source, target, Guided { lb_w: lb, lb_r: &[] }, enabled),
+        Some(lb) => dijkstra_core(
+            g,
+            source,
+            target,
+            Guided {
+                lb_w: lb,
+                lb_r: &[],
+            },
+            enabled,
+        ),
     }
 }
 
@@ -338,12 +347,15 @@ mod tests {
                 .collect();
             let enabled = |e: EdgeId| !masked.contains(&e);
             let plain = shortest_path(&mut view(&g), s.0, t.0, None, enabled);
-            let guided =
-                shortest_path(&mut view(&g), s.0, t.0, Some(&pot.min_weight_to), enabled);
+            let guided = shortest_path(&mut view(&g), s.0, t.0, Some(&pot.min_weight_to), enabled);
             match (&plain, &guided) {
                 (None, None) => {}
                 (Some(p), Some(q)) => {
-                    assert_eq!(p.weight.to_bits(), q.weight.to_bits(), "case {case}: weight");
+                    assert_eq!(
+                        p.weight.to_bits(),
+                        q.weight.to_bits(),
+                        "case {case}: weight"
+                    );
                     assert_eq!(p.edges, q.edges, "case {case}: path");
                 }
                 other => panic!("case {case}: reachability mismatch {other:?}"),

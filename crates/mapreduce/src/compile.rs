@@ -174,10 +174,18 @@ mod tests {
         assert_eq!(c.roots.len(), 1);
         let driver = &c.roots[0];
         assert!(driver.client);
-        let Op::Spawn { children: mappers, wait: true } = &driver.ops[0] else {
+        let Op::Spawn {
+            children: mappers,
+            wait: true,
+        } = &driver.ops[0]
+        else {
             panic!("driver op 0 should spawn-wait mappers");
         };
-        let Op::Spawn { children: coord, wait: false } = &driver.ops[1] else {
+        let Op::Spawn {
+            children: coord,
+            wait: false,
+        } = &driver.ops[1]
+        else {
             panic!("driver op 1 should fire the coordinator");
         };
         (mappers, &coord[0])
@@ -208,7 +216,7 @@ mod tests {
         let (_, c) = compiled(10, 3, 2);
         let (mappers, _) = driver_children(&c);
         assert_eq!(mappers.len(), 4); // ceil(10/3)
-        // Mapper 3 (last) gets only the remainder object.
+                                      // Mapper 3 (last) gets only the remainder object.
         let gets = mappers[3]
             .ops
             .iter()
@@ -229,7 +237,10 @@ mod tests {
         let (_, c) = compiled(10, 2, 2);
         let (_, coordinator) = driver_children(&c);
         // Step 2's reducers must read step 1's outputs.
-        let Op::Spawn { children: step2, .. } = &coordinator.ops[4] else {
+        let Op::Spawn {
+            children: step2, ..
+        } = &coordinator.ops[4]
+        else {
             panic!();
         };
         let Op::Get { key, .. } = &step2[0].ops[1] else {

@@ -80,18 +80,15 @@ pub fn run_local(
         ranges.push(next..next + c);
         next += c;
     }
-    ranges
-        .into_par_iter()
-        .enumerate()
-        .for_each(|(m, range)| {
-            let mut input = Vec::new();
-            for i in range {
-                let obj = store.get(&keys::input(name, i)).expect("checked above");
-                input.extend_from_slice(&obj);
-            }
-            let out = app.map(&input);
-            store.put(keys::shuffle(name, m), out);
-        });
+    ranges.into_par_iter().enumerate().for_each(|(m, range)| {
+        let mut input = Vec::new();
+        for i in range {
+            let obj = store.get(&keys::input(name, i)).expect("checked above");
+            input.extend_from_slice(&obj);
+        }
+        let out = app.map(&input);
+        store.put(keys::shuffle(name, m), out);
+    });
 
     // Reducing phase: the plan's schedule gives per-step reducer object
     // counts; sizes in the schedule are model estimates, the counts are
@@ -116,17 +113,20 @@ pub fn run_local(
             next_input += objs.len();
         }
         total_reducers += assignments.len();
-        assignments.into_par_iter().enumerate().for_each(|(r, range)| {
-            let inputs: Vec<Bytes> = range
-                .map(|idx| {
-                    store
-                        .get(&keys::step_input(name, p, idx))
-                        .expect("producer ran in a previous step")
-                })
-                .collect();
-            let out = app.reduce(&inputs);
-            store.put(keys::reduce_out(name, p, r), out);
-        });
+        assignments
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(r, range)| {
+                let inputs: Vec<Bytes> = range
+                    .map(|idx| {
+                        store
+                            .get(&keys::step_input(name, p, idx))
+                            .expect("producer ran in a previous step")
+                    })
+                    .collect();
+                let out = app.reduce(&inputs);
+                store.put(keys::reduce_out(name, p, r), out);
+            });
     }
 
     let result_key = keys::result(name, structure.num_steps());

@@ -101,8 +101,7 @@ mod tests {
     fn noise_free_sim_matches_model_jct() {
         for (k_m, k_r) in [(1, 2), (2, 2), (3, 4), (5, 2), (10, 2)] {
             let (job, platform, plan) = setup(10, 1.0, k_m, k_r, (128, 128, 128));
-            let report =
-                simulate(&job, &plan, SimConfig::deterministic(platform.clone())).unwrap();
+            let report = simulate(&job, &plan, SimConfig::deterministic(platform.clone())).unwrap();
             let err = relative_error(report.jct_s(), plan.predicted_jct_s());
             assert!(
                 err < 1e-6,
@@ -169,7 +168,12 @@ mod tests {
     fn bigger_memory_runs_faster_but_bills_more_per_second() {
         let (job, platform, small_plan) = setup(10, 2.0, 2, 2, (128, 128, 128));
         let (_, _, big_plan) = setup(10, 2.0, 2, 2, (1792, 1792, 1792));
-        let small = simulate(&job, &small_plan, SimConfig::deterministic(platform.clone())).unwrap();
+        let small = simulate(
+            &job,
+            &small_plan,
+            SimConfig::deterministic(platform.clone()),
+        )
+        .unwrap();
         let big = simulate(&job, &big_plan, SimConfig::deterministic(platform)).unwrap();
         assert!(big.jct_s() < small.jct_s());
     }
@@ -211,7 +215,10 @@ mod tests {
         // Requests land on the intermediate ledger, not S3's.
         assert_eq!(report.ledger.puts, 0, "no S3 puts with a cache tier");
         assert!(report.inter_ledger.puts > 0);
-        assert!(report.ephemeral_cost > astra_pricing::Money::ZERO, "rent is billed");
+        assert!(
+            report.ephemeral_cost > astra_pricing::Money::ZERO,
+            "rent is billed"
+        );
         let cost_err = relative_error(
             report.total_cost().dollars(),
             plan.predicted_cost().dollars(),

@@ -41,9 +41,7 @@ pub fn distribute_even(n: usize, groups: usize) -> Vec<usize> {
     assert!(groups > 0 && groups <= n, "need 1..=n groups");
     let base = n / groups;
     let extra = n % groups;
-    (0..groups)
-        .map(|i| base + usize::from(i < extra))
-        .collect()
+    (0..groups).map(|i| base + usize::from(i < extra)).collect()
 }
 
 /// Size-aware assignment: Longest-Processing-Time-first (LPT) greedy
@@ -154,7 +152,10 @@ mod tests {
         let makespan: f64 = assign[0].iter().map(|&i| sizes[i]).sum();
         let lower = (sizes.iter().sum::<f64>() / workers as f64)
             .max(sizes.iter().cloned().fold(0.0, f64::max));
-        assert!(makespan <= lower * (4.0 / 3.0) + 1e-9, "{makespan} vs {lower}");
+        assert!(
+            makespan <= lower * (4.0 / 3.0) + 1e-9,
+            "{makespan} vs {lower}"
+        );
     }
 
     #[test]

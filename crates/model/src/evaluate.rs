@@ -48,17 +48,26 @@ impl std::fmt::Display for Infeasibility {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Infeasibility::ConcurrencyExceeded { requested, limit } => {
-                write!(f, "{requested} concurrent lambdas exceed the limit of {limit}")
+                write!(
+                    f,
+                    "{requested} concurrent lambdas exceed the limit of {limit}"
+                )
             }
             Infeasibility::StorageExceeded {
                 required_mb,
                 limit_mb,
-            } => write!(f, "{required_mb:.0} MB exceeds the {limit_mb:.0} MB storage cap"),
+            } => write!(
+                f,
+                "{required_mb:.0} MB exceeds the {limit_mb:.0} MB storage cap"
+            ),
             Infeasibility::TimeoutExceeded {
                 role,
                 lifetime_s,
                 limit_s,
-            } => write!(f, "{role} would run {lifetime_s:.1}s, over the {limit_s:.0}s timeout"),
+            } => write!(
+                f,
+                "{role} would run {lifetime_s:.1}s, over the {limit_s:.0}s timeout"
+            ),
             Infeasibility::InvalidMemoryTier { mem_mb } => {
                 write!(f, "{mem_mb} MB is not an allocatable memory size")
             }
@@ -143,7 +152,8 @@ pub fn check_feasibility(
 
     // Storage cap (Eq. 18: D + S + Q <= O).
     let state_mb = job.profile.state_object_mb * perf.reduce.structure.num_steps() as f64;
-    let required = job.total_mb() + state_mb + schedule::total_input_mb(&perf.reduce.structure.steps);
+    let required =
+        job.total_mb() + state_mb + schedule::total_input_mb(&perf.reduce.structure.steps);
     if required > platform.max_storage_mb {
         return Err(Infeasibility::StorageExceeded {
             required_mb: required,
@@ -229,8 +239,12 @@ mod tests {
         let mut platform = Platform::aws_lambda();
         platform.max_concurrency = 4;
         let job = JobSpec::uniform("t", 10, 0.2, WorkloadProfile::uniform_test());
-        let err = evaluate(&job, &platform, &cfg(128, 1, 2), &PriceCatalog::aws_2020()).unwrap_err();
-        assert!(matches!(err, Infeasibility::ConcurrencyExceeded { requested: 10, .. }));
+        let err =
+            evaluate(&job, &platform, &cfg(128, 1, 2), &PriceCatalog::aws_2020()).unwrap_err();
+        assert!(matches!(
+            err,
+            Infeasibility::ConcurrencyExceeded { requested: 10, .. }
+        ));
     }
 
     #[test]
@@ -239,8 +253,12 @@ mod tests {
         platform.timeout_s = 5.0;
         // 1 mapper processing 100 MB at 1 s/MB will far exceed 5 s.
         let job = JobSpec::uniform("t", 2, 50.0, WorkloadProfile::uniform_test());
-        let err = evaluate(&job, &platform, &cfg(128, 2, 2), &PriceCatalog::aws_2020()).unwrap_err();
-        assert!(matches!(err, Infeasibility::TimeoutExceeded { role: "mapper", .. }));
+        let err =
+            evaluate(&job, &platform, &cfg(128, 2, 2), &PriceCatalog::aws_2020()).unwrap_err();
+        assert!(matches!(
+            err,
+            Infeasibility::TimeoutExceeded { role: "mapper", .. }
+        ));
     }
 
     #[test]
@@ -248,7 +266,8 @@ mod tests {
         let mut platform = Platform::aws_lambda();
         platform.max_storage_mb = 10.0;
         let job = JobSpec::uniform("t", 10, 5.0, WorkloadProfile::uniform_test());
-        let err = evaluate(&job, &platform, &cfg(128, 2, 2), &PriceCatalog::aws_2020()).unwrap_err();
+        let err =
+            evaluate(&job, &platform, &cfg(128, 2, 2), &PriceCatalog::aws_2020()).unwrap_err();
         assert!(matches!(err, Infeasibility::StorageExceeded { .. }));
     }
 

@@ -107,7 +107,10 @@ pub fn explicit_schedule(
     reduce_ratio: f64,
 ) -> Vec<ReduceStep> {
     assert!(!mapper_outputs.is_empty(), "no mapper outputs to reduce");
-    assert!(!reducers_per_step.is_empty(), "need at least one reduce step");
+    assert!(
+        !reducers_per_step.is_empty(),
+        "need at least one reduce step"
+    );
     assert_eq!(
         *reducers_per_step.last().unwrap(),
         1,
@@ -179,10 +182,16 @@ mod tests {
         );
         // k = 4: 3 outputs -> 1.
         let s = reduce_schedule(&uniform(3), 4, 1.0);
-        assert_eq!(s.iter().map(ReduceStep::reducers).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(
+            s.iter().map(ReduceStep::reducers).collect::<Vec<_>>(),
+            vec![1]
+        );
         // k = 5: 2 outputs -> 1.
         let s = reduce_schedule(&uniform(2), 5, 1.0);
-        assert_eq!(s.iter().map(ReduceStep::reducers).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(
+            s.iter().map(ReduceStep::reducers).collect::<Vec<_>>(),
+            vec![1]
+        );
     }
 
     #[test]

@@ -251,7 +251,13 @@ impl CacheState {
 
     /// Insert `session` under `key`, evicting the LRU entry if the cache
     /// is at `capacity`. Capacity 0 stores nothing.
-    fn insert(&mut self, key: SessionKey, session: &Arc<PlannerSession>, capacity: usize, telemetry: &Telemetry) {
+    fn insert(
+        &mut self,
+        key: SessionKey,
+        session: &Arc<PlannerSession>,
+        capacity: usize,
+        telemetry: &Telemetry,
+    ) {
         if capacity == 0 {
             return;
         }
@@ -411,7 +417,12 @@ mod tests {
     use std::time::Duration;
 
     fn job(n: usize) -> JobSpec {
-        JobSpec::uniform(format!("cache-{n}"), n, 1.0, WorkloadProfile::uniform_test())
+        JobSpec::uniform(
+            format!("cache-{n}"),
+            n,
+            1.0,
+            WorkloadProfile::uniform_test(),
+        )
     }
 
     fn key_for(job: &JobSpec, platform: &Platform) -> SessionKey {
@@ -606,7 +617,9 @@ mod tests {
             ("store bandwidth", |p| store(p).bandwidth_mbps += 1.0),
             ("store get price", |p| bump(&mut store(p).per_get)),
             ("store put price", |p| bump(&mut store(p).per_put)),
-            ("store storage", |p| store(p).storage_gb_month_dollars += 0.01),
+            ("store storage", |p| {
+                store(p).storage_gb_month_dollars += 0.01
+            }),
             ("store rental", |p| bump(&mut store(p).rental_per_hour)),
         ];
         for (name, edit) in platforms {
@@ -641,8 +654,14 @@ mod tests {
                 PruneConfig::default(),
             ),
         ));
-        keys.push(("algorithm 1", knobs(Strategy::Algorithm1, PruneConfig::default())));
-        keys.push(("exhaustive", knobs(Strategy::Exhaustive, PruneConfig::default())));
+        keys.push((
+            "algorithm 1",
+            knobs(Strategy::Algorithm1, PruneConfig::default()),
+        ));
+        keys.push((
+            "exhaustive",
+            knobs(Strategy::Exhaustive, PruneConfig::default()),
+        ));
         keys.push(("prune off", knobs(Strategy::ExactCsp, PruneConfig::off())));
 
         for (a, (name_a, key_a)) in keys.iter().enumerate() {
@@ -688,8 +707,7 @@ mod tests {
         let hit = {
             let (cache, platform) = (cache.clone(), platform.clone());
             within_deadline(move || {
-                get_or_build(&cache, &a, &platform, || panic!("A is resident"))
-                    .1
+                get_or_build(&cache, &a, &platform, || panic!("A is resident")).1
             })
         };
         assert!(hit);
@@ -711,8 +729,12 @@ mod tests {
         let (release_tx, release_rx) = mpsc::channel::<()>();
 
         let first = {
-            let (cache, platform, j, builds) =
-                (cache.clone(), platform.clone(), j.clone(), Arc::clone(&builds));
+            let (cache, platform, j, builds) = (
+                cache.clone(),
+                platform.clone(),
+                j.clone(),
+                Arc::clone(&builds),
+            );
             thread::spawn(move || {
                 get_or_build(&cache, &j, &platform, || {
                     builds.fetch_add(1, Ordering::SeqCst);
@@ -724,8 +746,12 @@ mod tests {
         };
         started_rx.recv().unwrap();
         let second = {
-            let (cache, platform, j, builds) =
-                (cache.clone(), platform.clone(), j.clone(), Arc::clone(&builds));
+            let (cache, platform, j, builds) = (
+                cache.clone(),
+                platform.clone(),
+                j.clone(),
+                Arc::clone(&builds),
+            );
             thread::spawn(move || {
                 get_or_build(&cache, &j, &platform, || {
                     builds.fetch_add(1, Ordering::SeqCst);
@@ -739,7 +765,11 @@ mod tests {
 
         let (s1, hit1) = first.join().unwrap();
         let (s2, hit2) = second.join().unwrap();
-        assert_eq!(builds.load(Ordering::SeqCst), 1, "the build must run exactly once");
+        assert_eq!(
+            builds.load(Ordering::SeqCst),
+            1,
+            "the build must run exactly once"
+        );
         assert!(Arc::ptr_eq(&s1, &s2));
         assert_eq!((hit1, hit2), (false, true));
         let stats = cache.stats();

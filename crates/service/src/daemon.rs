@@ -334,7 +334,10 @@ impl Inner {
     fn plan_cached(&self, id: JobId, request: &JobRequest) -> (Result<Plan, String>, bool) {
         if self.faults.fires(FaultSite::CacheBuild, id) {
             self.telemetry.counter("service.faults.injected", 1);
-            let reason = format!("injected fault: {} failure (job {id})", FaultSite::CacheBuild);
+            let reason = format!(
+                "injected fault: {} failure (job {id})",
+                FaultSite::CacheBuild
+            );
             return (Err(reason), false);
         }
         let (session, lookup) = self.session_cached(&request.job);
@@ -355,7 +358,9 @@ impl Inner {
             let snap = table.jobs.get(&id).expect("dispatched unknown job");
             (snap.request.clone(), snap.history[0].1)
         };
-        let _span = self.telemetry.wall_span("service", "service.job", "service");
+        let _span = self
+            .telemetry
+            .wall_span("service", "service.job", "service");
         let picked_up = wall_clock_ns();
 
         self.inject(FaultSite::WorkerPlan, id)?;
@@ -554,13 +559,9 @@ impl ServiceDaemon {
                 (Some(journal), Some(recovery))
             }
         };
-        let astra = Astra::new(
-            config.platform.clone(),
-            config.catalog,
-            config.strategy,
-        )
-        .with_prune_config(config.prune)
-        .with_telemetry(config.telemetry.clone());
+        let astra = Astra::new(config.platform.clone(), config.catalog, config.strategy)
+            .with_prune_config(config.prune)
+            .with_telemetry(config.telemetry.clone());
         let inner = Arc::new(Inner {
             astra,
             scheduler: Scheduler::new(
@@ -814,7 +815,12 @@ mod tests {
     fn request(n: usize) -> JobRequest {
         JobRequest::new(
             format!("daemon-{n}"),
-            JobSpec::uniform(format!("daemon-{n}"), n, 1.0, WorkloadProfile::uniform_test()),
+            JobSpec::uniform(
+                format!("daemon-{n}"),
+                n,
+                1.0,
+                WorkloadProfile::uniform_test(),
+            ),
             Objective::min_time_with_budget_dollars(5.0),
         )
     }
@@ -852,7 +858,10 @@ mod tests {
         let snap = handle.await_done(id).unwrap();
         assert_eq!(snap.status, JobStatus::Done);
         assert!(snap.sim.is_none());
-        assert!(!snap.history.iter().any(|&(s, _)| s == JobStatus::Simulating));
+        assert!(!snap
+            .history
+            .iter()
+            .any(|&(s, _)| s == JobStatus::Simulating));
         snap.check_history().unwrap();
     }
 
@@ -912,18 +921,34 @@ mod tests {
         ];
         let ids: Vec<JobId> = objectives
             .iter()
-            .flat_map(|&o| (0..specs).map(move |n| JobRequest { objective: o, ..request(3 + n) }))
+            .flat_map(|&o| {
+                (0..specs).map(move |n| JobRequest {
+                    objective: o,
+                    ..request(3 + n)
+                })
+            })
             .map(|r| handle.submit(r))
             .collect();
         for (i, &id) in ids.iter().enumerate() {
             let snap = handle.await_done(id).unwrap();
             assert_eq!(snap.status, JobStatus::Done, "job {id}");
             assert_eq!(snap.session_cache_hit, i >= specs, "job {id}");
-            let plan = library.session(&snap.request.job).plan(snap.request.objective).unwrap();
+            let plan = library
+                .session(&snap.request.job)
+                .plan(snap.request.objective)
+                .unwrap();
             let outcome = snap.plan.unwrap();
             assert_eq!(
-                (outcome.spec, outcome.predicted_cost, outcome.predicted_jct_s.to_bits()),
-                (plan.spec.clone(), plan.predicted_cost(), plan.predicted_jct_s().to_bits()),
+                (
+                    outcome.spec,
+                    outcome.predicted_cost,
+                    outcome.predicted_jct_s.to_bits()
+                ),
+                (
+                    plan.spec.clone(),
+                    plan.predicted_cost(),
+                    plan.predicted_jct_s().to_bits()
+                ),
                 "job {id}"
             );
         }

@@ -194,8 +194,7 @@ struct Lane<P> {
 impl<P> Lane<P> {
     /// Would this lane's envelope admit `claim` right now?
     fn admits(&self, claim: Money) -> bool {
-        self.in_flight < self.envelope.max_in_flight
-            && self.claimed + claim <= self.envelope.budget
+        self.in_flight < self.envelope.max_in_flight && self.claimed + claim <= self.envelope.budget
     }
 }
 
@@ -648,7 +647,10 @@ mod tests {
         drr.enqueue(job(1, "bursty", 0.03));
         drr.enqueue(job(2, "steady", 0.001));
         let order = drain(&mut drr, &mut global);
-        assert_eq!(order[0], 2, "stale credit let the burst overtake: {order:?}");
+        assert_eq!(
+            order[0], 2,
+            "stale credit let the burst overtake: {order:?}"
+        );
     }
 
     #[test]

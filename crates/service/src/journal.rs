@@ -221,11 +221,7 @@ impl Journal {
         // A failed append must not take the daemon down — the journal
         // degrades to best-effort and the in-memory table stays
         // authoritative for this process's lifetime.
-        if file
-            .write_all(&frame)
-            .and_then(|()| file.flush())
-            .is_err()
-        {
+        if file.write_all(&frame).and_then(|()| file.flush()).is_err() {
             self.telemetry.counter("service.journal.append_errors", 1);
             return;
         }
@@ -362,9 +358,7 @@ fn apply_record(
 ) {
     match record {
         Record::Submitted { id, request } => {
-            let entry = table
-                .entry(id)
-                .or_insert((None, JobStatus::Accepted, None));
+            let entry = table.entry(id).or_insert((None, JobStatus::Accepted, None));
             entry.0 = Some(*request);
             // A fresh `submitted` for an id we already saw means a
             // prior generation re-admitted it; reset to in-flight.
@@ -372,9 +366,7 @@ fn apply_record(
             entry.2 = None;
         }
         Record::Transition { id, status } => {
-            let entry = table
-                .entry(id)
-                .or_insert((None, JobStatus::Accepted, None));
+            let entry = table.entry(id).or_insert((None, JobStatus::Accepted, None));
             entry.1 = status;
         }
         Record::Terminal { snapshot } => {
@@ -395,10 +387,7 @@ mod tests {
 
     fn temp_path(tag: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
-        path.push(format!(
-            "astra-journal-{tag}-{}.log",
-            std::process::id()
-        ));
+        path.push(format!("astra-journal-{tag}-{}.log", std::process::id()));
         let _ = std::fs::remove_file(&path);
         path
     }
@@ -451,8 +440,7 @@ mod tests {
             let done = terminal_snapshot(1, 4);
             journal.record_transition(&done);
         }
-        let (_journal, recovery) =
-            Journal::open(&path, Telemetry::disabled()).expect("reopen");
+        let (_journal, recovery) = Journal::open(&path, Telemetry::disabled()).expect("reopen");
         assert_eq!(recovery.records, 3);
         assert_eq!(recovery.truncated_bytes, 0);
         assert_eq!(recovery.jobs.len(), 2);

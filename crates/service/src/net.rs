@@ -242,10 +242,7 @@ fn ok_response(op: &str) -> Map<String, Value> {
 fn error_response(op: Option<&str>, code: &str, message: &str, job: Option<Value>) -> Value {
     let mut obj = Map::new();
     obj.insert("ok".to_string(), Value::from(false));
-    obj.insert(
-        "op".to_string(),
-        op.map(Value::from).unwrap_or(Value::Null),
-    );
+    obj.insert("op".to_string(), op.map(Value::from).unwrap_or(Value::Null));
     obj.insert(
         "error".to_string(),
         json!({ "code": code, "message": message }),
@@ -258,12 +255,7 @@ fn error_response(op: Option<&str>, code: &str, message: &str, job: Option<Value
 
 /// A framing/parse failure becomes a real `Rejected` job (poll-able
 /// like any other) whose snapshot rides on the error line.
-fn reject_with(
-    handle: &ServiceHandle,
-    op: Option<&str>,
-    code: &str,
-    message: String,
-) -> Value {
+fn reject_with(handle: &ServiceHandle, op: Option<&str>, code: &str, message: String) -> Value {
     let id = handle.reject_submission(format!("{code}: {message}"));
     let snapshot = handle
         .status(id)
@@ -328,7 +320,11 @@ fn handle_line(handle: &ServiceHandle, telemetry: &Telemetry, line: &[u8]) -> Va
         }
     };
     let Some(envelope) = value.as_object() else {
-        return envelope_err(handle, None, "request envelope must be a JSON object".into());
+        return envelope_err(
+            handle,
+            None,
+            "request envelope must be a JSON object".into(),
+        );
     };
     let op = match envelope.get("op") {
         Some(Value::String(op)) => op.clone(),
@@ -543,8 +539,7 @@ fn serve_connection(
                     }
                     telemetry.counter("service.net.lines", 1);
                     let response = handle_line(&handle, &telemetry, &line);
-                    if response.as_object().and_then(|o| o.get("ok")) == Some(&Value::from(false))
-                    {
+                    if response.as_object().and_then(|o| o.get("ok")) == Some(&Value::from(false)) {
                         telemetry.counter("service.net.frame_errors", 1);
                     }
                     response
@@ -623,7 +618,10 @@ fn accept_loop(
             let refusal = error_response(
                 None,
                 codes::CONNECTION_LIMIT,
-                &format!("server is at its {} connection limit", config.max_connections),
+                &format!(
+                    "server is at its {} connection limit",
+                    config.max_connections
+                ),
                 None,
             );
             let mut stream = stream;
@@ -884,7 +882,10 @@ impl NetClient {
     pub fn roundtrip(&mut self, request: &Value) -> io::Result<Value> {
         let response = self.send_raw(&encode(request))?;
         serde_json::from_str(&response).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad response line: {e}"))
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad response line: {e}"),
+            )
         })
     }
 
@@ -922,10 +923,7 @@ impl NetClient {
     pub fn resubmit(&mut self, prior: JobId, revised: Option<&JobRequest>) -> io::Result<Value> {
         let mut request = json!({ "op": "resubmit", "id": prior });
         if let (Value::Object(obj), Some(revised)) = (&mut request, revised) {
-            obj.insert(
-                "request".to_string(),
-                wire::job_request_to_json(revised),
-            );
+            obj.insert("request".to_string(), wire::job_request_to_json(revised));
         }
         self.roundtrip(&request)
     }

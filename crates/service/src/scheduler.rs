@@ -186,11 +186,12 @@ impl<P> Scheduler<P> {
     ) -> Result<(), SubmitError> {
         let mut state = self.state.lock().unwrap();
         if state.closed || state.halted {
-            return Err(SubmitError::Refused(
-                "service is shutting down".to_string(),
-            ));
+            return Err(SubmitError::Refused("service is shutting down".to_string()));
         }
-        state.admission.feasible(claim).map_err(SubmitError::Refused)?;
+        state
+            .admission
+            .feasible(claim)
+            .map_err(SubmitError::Refused)?;
         state
             .lanes
             .feasible(tenant, claim)
@@ -400,7 +401,9 @@ mod tests {
             OverloadConfig::disabled(),
             Telemetry::disabled(),
         );
-        let err = sched.submit(0, "metered", dollars(2.0), false, ()).unwrap_err();
+        let err = sched
+            .submit(0, "metered", dollars(2.0), false, ())
+            .unwrap_err();
         assert!(err.reason().contains("budget share"), "{err:?}");
         // Another tenant with the same claim is fine.
         sched.submit(1, "other", dollars(2.0), false, ()).unwrap();
@@ -536,10 +539,14 @@ mod tests {
             Telemetry::disabled(),
         );
         for id in 0..4 {
-            sched.submit(id, "flood", dollars(0.001), false, ()).unwrap();
+            sched
+                .submit(id, "flood", dollars(0.001), false, ())
+                .unwrap();
         }
         for id in 10..12 {
-            sched.submit(id, "quiet", dollars(0.001), false, ()).unwrap();
+            sched
+                .submit(id, "quiet", dollars(0.001), false, ())
+                .unwrap();
         }
         sched.close();
         let mut order = Vec::new();

@@ -542,7 +542,10 @@ pub fn plan_spec_from_json(value: &Value) -> Result<astra_core::PlanSpec, WireEr
     const RCTX: &str = "reduce spec";
     let reduce_obj = as_object(reduce_value, RCTX)?;
     deny_unknown(reduce_obj, RCTX, &["per_reducer", "explicit_steps"])?;
-    let reduce_spec = match (reduce_obj.get("per_reducer"), reduce_obj.get("explicit_steps")) {
+    let reduce_spec = match (
+        reduce_obj.get("per_reducer"),
+        reduce_obj.get("explicit_steps"),
+    ) {
         (Some(_), None) => {
             astra_core::ReduceSpec::PerReducer(get_u64(reduce_obj, RCTX, "per_reducer")? as usize)
         }
@@ -887,23 +890,34 @@ mod tests {
             },
         );
         let text = serde_json::to_string(&job_request_to_json(&request)).unwrap();
-        assert_eq!(job_request_from_str(&text).unwrap().objective, request.objective);
+        assert_eq!(
+            job_request_from_str(&text).unwrap().objective,
+            request.objective
+        );
     }
 
     #[test]
     fn dollars_convenience_accepted_but_not_both() {
         let mut value = job_request_to_json(&request());
         {
-            let Value::Object(map) = &mut value else { panic!() };
-            let Some(Value::Object(obj)) = map.get_mut("objective") else { panic!() };
+            let Value::Object(map) = &mut value else {
+                panic!()
+            };
+            let Some(Value::Object(obj)) = map.get_mut("objective") else {
+                panic!()
+            };
             obj.insert("budget_dollars".to_string(), Value::from(2.5));
         }
         let err = job_request_from_json(&value).unwrap_err();
         assert!(err.to_string().contains("not both"), "{err}");
 
         {
-            let Value::Object(map) = &mut value else { panic!() };
-            let Some(Value::Object(obj)) = map.get_mut("objective") else { panic!() };
+            let Value::Object(map) = &mut value else {
+                panic!()
+            };
+            let Some(Value::Object(obj)) = map.get_mut("objective") else {
+                panic!()
+            };
             obj.remove("budget_nanos");
         }
         let parsed = job_request_from_json(&value).unwrap();

@@ -67,7 +67,13 @@ impl TraceLog {
     /// Accepts anything convertible to a shared string; callers that
     /// record many spans for the same actor should pass an `Arc<str>`
     /// clone so recording does not allocate.
-    pub fn record(&mut self, actor: impl Into<Arc<str>>, kind: SpanKind, start: SimTime, end: SimTime) {
+    pub fn record(
+        &mut self,
+        actor: impl Into<Arc<str>>,
+        kind: SpanKind,
+        start: SimTime,
+        end: SimTime,
+    ) {
         assert!(end >= start, "span ends before it starts");
         self.spans.push(Span {
             actor: actor.into(),

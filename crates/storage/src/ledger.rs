@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn preexisting_objects_bill_storage_without_put() {
         let mut l = StorageLedger::new();
-        l.register_preexisting("input", 100.0, );
+        l.register_preexisting("input", 100.0);
         let snap = l.snapshot(t(10));
         assert_eq!(snap.puts, 0);
         assert_eq!(snap.mb_seconds, 1000.0);
@@ -218,10 +218,7 @@ mod tests {
             l.record_get(0.0);
         }
         // 1000 PUTs ($0.005) + 10000 GETs ($0.004), no storage (0 MB).
-        assert_eq!(
-            l.bill(t(0), &pricing),
-            Money::from_dollars_f64(0.009)
-        );
+        assert_eq!(l.bill(t(0), &pricing), Money::from_dollars_f64(0.009));
     }
 
     #[test]

@@ -99,8 +99,6 @@ mod tests {
     #[test]
     fn secs_and_time_agree() {
         let m = TransferModel::aws_like();
-        assert!(
-            (m.get_secs(12.0) - m.get_time(12.0).as_secs_f64()).abs() < 1e-6
-        );
+        assert!((m.get_secs(12.0) - m.get_time(12.0).as_secs_f64()).abs() < 1e-6);
     }
 }

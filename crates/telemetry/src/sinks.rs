@@ -244,7 +244,11 @@ impl ChromeTraceRecorder {
             }));
         }
         for pid in [SIM_PID, WALL_PID] {
-            let name = if pid == SIM_PID { "sim clock" } else { "wall clock" };
+            let name = if pid == SIM_PID {
+                "sim clock"
+            } else {
+                "wall clock"
+            };
             events.push(json!({
                 "name": "process_name",
                 "ph": "M",
@@ -329,7 +333,14 @@ mod tests {
     use super::*;
     use crate::Telemetry;
 
-    fn sim_span(track: &str, name: &str, start: u64, end: u64, id: u64, parent: Option<u64>) -> SpanRecord {
+    fn sim_span(
+        track: &str,
+        name: &str,
+        start: u64,
+        end: u64,
+        id: u64,
+        parent: Option<u64>,
+    ) -> SpanRecord {
         SpanRecord {
             track: track.into(),
             name: name.into(),

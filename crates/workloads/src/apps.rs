@@ -181,8 +181,7 @@ impl QueryApp {
             let ip = cols.next().expect("sourceIP");
             let revenue = cols.nth(2).expect("adRevenue");
             let (dollars, cents) = revenue.split_once('.').expect("d.cc");
-            let total_cents =
-                dollars.parse::<u64>().unwrap() * 100 + cents.parse::<u64>().unwrap();
+            let total_cents = dollars.parse::<u64>().unwrap() * 100 + cents.parse::<u64>().unwrap();
             let key: String = ip.chars().take(Self::PREFIX_LEN).collect();
             *out.entry(key).or_default() += total_cents;
         }

@@ -60,7 +60,11 @@ fn uservisits_row(rng: &mut StdRng, out: &mut Vec<u8>) {
         rng.random_range(0..256u16),
         rng.random_range(1..255u16)
     );
-    let url = format!("url{}.example.com/page{}", rng.random_range(0..1000u32), rng.random_range(0..100u32));
+    let url = format!(
+        "url{}.example.com/page{}",
+        rng.random_range(0..1000u32),
+        rng.random_range(0..100u32)
+    );
     let date = format!(
         "20{:02}-{:02}-{:02}",
         rng.random_range(0..20u8),

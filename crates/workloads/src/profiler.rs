@@ -138,7 +138,9 @@ mod tests {
     use crate::datagen;
 
     fn wc_samples() -> Vec<Vec<u8>> {
-        (0..4).map(|i| datagen::zipf_text(i, 200_000, 2_000)).collect()
+        (0..4)
+            .map(|i| datagen::zipf_text(i, 200_000, 2_000))
+            .collect()
     }
 
     #[test]
@@ -155,15 +157,25 @@ mod tests {
     fn sort_profile_preserves_volume() {
         let samples: Vec<Vec<u8>> = (0..3).map(|i| datagen::sort_records(i, 2_000)).collect();
         let m = profile_app(&SortApp::default(), &samples, &ProfilerConfig::default());
-        assert!((m.shuffle_ratio - 1.0).abs() < 1e-9, "sort moves every byte");
-        assert!((m.reduce_ratio - 1.0).abs() < 1e-9, "merging preserves records");
+        assert!(
+            (m.shuffle_ratio - 1.0).abs() < 1e-9,
+            "sort moves every byte"
+        );
+        assert!(
+            (m.reduce_ratio - 1.0).abs() < 1e-9,
+            "merging preserves records"
+        );
     }
 
     #[test]
     fn query_profile_aggregates_heavily() {
         let samples: Vec<Vec<u8>> = (0..3).map(|i| datagen::uservisits(i, 300_000)).collect();
         let m = profile_app(&QueryApp, &samples, &ProfilerConfig::default());
-        assert!(m.shuffle_ratio < 0.6, "aggregates are small: {}", m.shuffle_ratio);
+        assert!(
+            m.shuffle_ratio < 0.6,
+            "aggregates are small: {}",
+            m.shuffle_ratio
+        );
     }
 
     #[test]

@@ -21,7 +21,12 @@ use astra::workloads::datagen;
 
 fn main() {
     // A small uservisits corpus: 8 objects x 96 KB of synthetic CSV.
-    let job = JobSpec::uniform("distinct", 8, 96.0 / 1024.0, sketch_profile("distinct-users"));
+    let job = JobSpec::uniform(
+        "distinct",
+        8,
+        96.0 / 1024.0,
+        sketch_profile("distinct-users"),
+    );
     let plan = Astra::with_defaults()
         .plan(&job, Objective::min_cost_with_deadline_s(600.0))
         .expect("plans");

@@ -33,8 +33,8 @@ fn main() {
             },
         )
         .expect("feasible");
-        let report = simulate(&job, &plan, SimConfig::deterministic(platform.clone()))
-            .expect("simulates");
+        let report =
+            simulate(&job, &plan, SimConfig::deterministic(platform.clone())).expect("simulates");
         println!("=== {title} ===");
         println!(
             "JCT {:.2}s, cost {}, {} invocations",

@@ -26,7 +26,10 @@ fn main() {
     // Generate seeded input data into the in-memory store.
     let store = Arc::new(MemStore::new());
     let bytes = spec.generate_inputs(&job, &store, 2024);
-    println!("Generated {bytes} bytes across {} objects", job.num_objects());
+    println!(
+        "Generated {bytes} bytes across {} objects",
+        job.num_objects()
+    );
 
     // Execute for real (rayon-parallel mappers and reducers).
     let report = run_local(&job, &plan, &store, &WordCountApp).expect("local run succeeds");

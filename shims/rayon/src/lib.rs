@@ -157,10 +157,14 @@ impl<T: Send> ParIter<T> {
     /// Parallel filter.
     pub fn filter<F: Fn(&T) -> bool + Sync>(self, f: F) -> ParIter<T> {
         ParIter {
-            items: run_map(self.items, self.min_len, |t| if f(&t) { Some(t) } else { None })
-                .into_iter()
-                .flatten()
-                .collect(),
+            items: run_map(
+                self.items,
+                self.min_len,
+                |t| if f(&t) { Some(t) } else { None },
+            )
+            .into_iter()
+            .flatten()
+            .collect(),
             min_len: self.min_len,
         }
     }

@@ -659,8 +659,8 @@ impl<'a> Parser<'a> {
                     if self.pos > self.bytes.len() {
                         return self.err("truncated UTF-8");
                     }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error {
+                    let s =
+                        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| Error {
                             msg: "invalid UTF-8".into(),
                         })?;
                     out.push_str(s);
@@ -809,7 +809,10 @@ mod tests {
     #[test]
     fn pretty_output_is_indented() {
         let v = json!({"a": [1]});
-        assert_eq!(to_string_pretty(&v).unwrap(), "{\n  \"a\": [\n    1\n  ]\n}");
+        assert_eq!(
+            to_string_pretty(&v).unwrap(),
+            "{\n  \"a\": [\n    1\n  ]\n}"
+        );
     }
 
     #[test]

@@ -126,12 +126,14 @@ fn simulated_and_local_runs_share_the_same_dataflow() {
     spec.generate_inputs(&job, &store, 5);
     let local = run_local(&job, &plan, &store, &WordCountApp).unwrap();
 
-    let sim = simulate(&job, &plan, SimConfig::deterministic(Platform::aws_lambda())).unwrap();
+    let sim = simulate(
+        &job,
+        &plan,
+        SimConfig::deterministic(Platform::aws_lambda()),
+    )
+    .unwrap();
     // Invocations = mappers + coordinator + reducers.
-    assert_eq!(
-        sim.invocation_count(),
-        local.mappers + 1 + local.reducers
-    );
+    assert_eq!(sim.invocation_count(), local.mappers + 1 + local.reducers);
     // PUT counts: sim writes state objects + shuffle + reduce outputs;
     // the local store saw the same writes.
     assert_eq!(
@@ -151,7 +153,11 @@ fn model_predicts_simulated_jct_exactly_when_clean() {
         let job = spec.into_job();
         let mut platform = Platform::aws_lambda();
         platform.cold_start_s = 0.0;
-        let astra = Astra::new(platform.clone(), PriceCatalog::aws_2020(), Strategy::ExactCsp);
+        let astra = Astra::new(
+            platform.clone(),
+            PriceCatalog::aws_2020(),
+            Strategy::ExactCsp,
+        );
         let plan = astra.plan(&job, Objective::fastest()).unwrap();
         let report = simulate(&job, &plan, SimConfig::deterministic(platform)).unwrap();
         let err = relative_error(report.jct_s(), plan.predicted_jct_s());

@@ -116,7 +116,12 @@ fn astra_beats_emr_on_both_metrics() {
             .unwrap();
         let (jct, cost) = measure(&job, &plan);
         let emr = cluster.run(&job);
-        assert!(jct < emr.jct_s, "{}: {jct:.1} vs EMR {:.1}", spec.label(), emr.jct_s);
+        assert!(
+            jct < emr.jct_s,
+            "{}: {jct:.1} vs EMR {:.1}",
+            spec.label(),
+            emr.jct_s
+        );
         assert!(
             cost.dollars() < emr.cost.dollars(),
             "{}: {cost} vs EMR {}",

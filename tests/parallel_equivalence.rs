@@ -25,7 +25,10 @@ fn platforms() -> Vec<(&'static str, Platform)> {
     vec![
         ("paper-literal", Platform::paper_literal(10.0)),
         ("aws-lambda", Platform::aws_lambda()),
-        ("aws-lambda+elasticache", Platform::aws_lambda().with_elasticache()),
+        (
+            "aws-lambda+elasticache",
+            Platform::aws_lambda().with_elasticache(),
+        ),
     ]
 }
 
@@ -52,7 +55,10 @@ fn assert_dags_identical(a: &PlannerDag, b: &PlannerDag, context: &str) {
     assert!(sa.edge_ids() == sb.edge_ids(), "edge ids ({context})");
     assert!(bits(sa.times()) == bits(sb.times()), "times ({context})");
     assert!(sa.costs() == sb.costs(), "costs ({context})");
-    assert!(sa.multiplicity() == sb.multiplicity(), "multiplicity ({context})");
+    assert!(
+        sa.multiplicity() == sb.multiplicity(),
+        "multiplicity ({context})"
+    );
     assert!(sa.topo() == sb.topo(), "topo ({context})");
 }
 
@@ -60,7 +66,9 @@ fn assert_dags_identical(a: &PlannerDag, b: &PlannerDag, context: &str) {
 /// calls (last wins); with upstream rayon only the first would stick,
 /// which still leaves every assertion below valid.
 fn pin_threads(n: usize) {
-    let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
+    let _ = rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build_global();
 }
 
 #[test]
@@ -100,9 +108,15 @@ fn full_space_dag_build_is_bit_identical() {
 /// (whose cost is the full configuration cross-product).
 fn tiny_jobs() -> Vec<(&'static str, JobSpec)> {
     vec![
-        ("tiny-wordcount", WorkloadSpec::wordcount_gb(1).tiny_job(9, 4096)),
+        (
+            "tiny-wordcount",
+            WorkloadSpec::wordcount_gb(1).tiny_job(9, 4096),
+        ),
         ("tiny-sort", WorkloadSpec::Sort100.tiny_job(12, 8192)),
-        ("tiny-query", WorkloadSpec::QueryUservisits.tiny_job(10, 2048)),
+        (
+            "tiny-query",
+            WorkloadSpec::QueryUservisits.tiny_job(10, 2048),
+        ),
     ]
 }
 
@@ -122,8 +136,7 @@ fn parallel_exhaustive_matches_serial_exactly() {
                     .unwrap_or_else(|_| Objective::fastest()),
             ];
             for objective in objectives {
-                let serial =
-                    solve_exhaustive_serial(&job, &platform, &catalog, &space, objective);
+                let serial = solve_exhaustive_serial(&job, &platform, &catalog, &space, objective);
                 for threads in [1, 2, 8] {
                     pin_threads(threads);
                     let parallel = solve_exhaustive(&job, &platform, &catalog, &space, objective);

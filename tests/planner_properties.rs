@@ -203,7 +203,9 @@ fn algorithm1_is_sound_when_it_succeeds() {
     for step in 1..10 {
         let budget = Money::from_nanos(lo + (hi - lo) * step / 10);
         let objective = Objective::MinimizeTime { budget };
-        let exact = exact_astra.plan_with_space(&job, objective, &space).unwrap();
+        let exact = exact_astra
+            .plan_with_space(&job, objective, &space)
+            .unwrap();
         if let Ok(a) = alg1_astra.plan_with_space(&job, objective, &space) {
             assert!(a.predicted_jct_s() >= exact.predicted_jct_s() - 1e-9);
             assert!(a.predicted_cost() <= budget + Money::from_nanos(100));

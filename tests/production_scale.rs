@@ -18,8 +18,7 @@
 
 use astra::core::solver::{solve_on_dag, solve_on_dag_with_potentials};
 use astra::core::{
-    ConfigSpace, Objective, PlannerDag, PlannerPotentials, PruneConfig,
-    Strategy as SolverStrategy,
+    ConfigSpace, Objective, PlannerDag, PlannerPotentials, PruneConfig, Strategy as SolverStrategy,
 };
 use astra::faas::{SimConfig, SimReport};
 use astra::mapreduce::{simulate, simulate_batch, SimCase};

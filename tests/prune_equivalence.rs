@@ -100,7 +100,8 @@ impl Solvers {
 
     fn with_space(job: JobSpec, platform: Platform, space: ConfigSpace) -> Solvers {
         let catalog = PriceCatalog::aws_2020();
-        let full_dag = PlannerDag::build_with(&job, &platform, &catalog, &space, PruneConfig::off());
+        let full_dag =
+            PlannerDag::build_with(&job, &platform, &catalog, &space, PruneConfig::off());
         let pruned_dag =
             PlannerDag::build_with(&job, &platform, &catalog, &space, PruneConfig::on());
         let potentials = PlannerPotentials::compute(&pruned_dag);
@@ -130,7 +131,13 @@ impl Solvers {
     }
 
     fn exhaustive(&self, objective: Objective) -> Option<JobConfig> {
-        solve_exhaustive(&self.job, &self.platform, &self.catalog, &self.space, objective)
+        solve_exhaustive(
+            &self.job,
+            &self.platform,
+            &self.catalog,
+            &self.space,
+            objective,
+        )
     }
 
     /// The bound grid: budgets and deadlines spanning just-below-feasible
@@ -191,7 +198,11 @@ impl Solvers {
             let (over, slack, better) = match objective {
                 Objective::MinimizeTime { budget } => {
                     let b = budget.nanos() as f64;
-                    (cost - b, 3e-9 * b + 1.0, brute.is_none_or(|c| time < ev(c).0))
+                    (
+                        cost - b,
+                        3e-9 * b + 1.0,
+                        brute.is_none_or(|c| time < ev(c).0),
+                    )
                 }
                 Objective::MinimizeCost { deadline_s } => (
                     time - deadline_s,
@@ -212,7 +223,10 @@ impl Solvers {
             let plain = self.plain_csp(objective);
             assert_eq!(fast, plain, "pruned+potentials vs plain CSP at {objective}");
             let brute = self.exhaustive(objective);
-            assert_eq!(fast, brute, "pruned+potentials vs exhaustive at {objective}");
+            assert_eq!(
+                fast, brute,
+                "pruned+potentials vs exhaustive at {objective}"
+            );
         }
     }
 }
@@ -299,7 +313,14 @@ fn all_paths(dag: &PlannerDag) -> Vec<((usize, usize), f64, i64)> {
                 Choice::ObjectsPerReducer { k_m, k_r } => Some((k_m, k_r)),
                 _ => pair,
             };
-            walk(dag, v, pair, time_s + soa.times()[i], cost + soa.costs()[i], out);
+            walk(
+                dag,
+                v,
+                pair,
+                time_s + soa.times()[i],
+                cost + soa.costs()[i],
+                out,
+            );
         }
     }
     let mut out = Vec::new();
@@ -326,10 +347,13 @@ fn check_pair_subtrees(job: &JobSpec, platform: &Platform, tiers: &[u32]) {
     let paths = all_paths(&full);
     // The documented rule: faster by more than 1e-9 s and at least one
     // nanodollar cheaper.
-    let dominated =
-        |t: f64, c: i64| paths.iter().any(|&(_, qt, qc)| qt + 1e-9 < t && qc < c);
+    let dominated = |t: f64, c: i64| paths.iter().any(|&(_, qt, qc)| qt + 1e-9 < t && qc < c);
     let (all, kept) = (pair_nodes(&full), pair_nodes(&pruned));
-    assert!(kept.is_subset(&all), "{}: pruning invented a pair", job.name);
+    assert!(
+        kept.is_subset(&all),
+        "{}: pruning invented a pair",
+        job.name
+    );
     assert_eq!(
         pruned.prune_stats().pair_subtrees,
         all.len() - kept.len(),
@@ -368,7 +392,11 @@ fn bundled_space_is_approximate() {
     let cases = [
         // Fastest query plan at N=120: the full space's k_R=5 (17.744 s)
         // is off the bundled k_R ladder, whose best is k_R=2 (19.724 s).
-        (astra::workloads::profiles::query(), 120, Objective::fastest()),
+        (
+            astra::workloads::profiles::query(),
+            120,
+            Objective::fastest(),
+        ),
         // Cheapest sort plan at N=17 under a 114.7 s deadline: the full
         // space's k_M=7 (7/7/3 split, 1,655,018 n$) shares j=3 with k_M=6,
         // the only member of that class the bundled space keeps
@@ -389,7 +417,10 @@ fn bundled_space_is_approximate() {
         };
         let full = plan(ConfigSpace::full(&job, astra.platform()));
         let bundled = plan(ConfigSpace::bundled(&job, astra.platform()));
-        assert_ne!(full.spec, bundled.spec, "N={n} {objective}: the spaces agree");
+        assert_ne!(
+            full.spec, bundled.spec,
+            "N={n} {objective}: the spaces agree"
+        );
         match objective {
             Objective::MinimizeTime { .. } => {
                 assert!(full.predicted_jct_s() < bundled.predicted_jct_s())
@@ -400,7 +431,12 @@ fn bundled_space_is_approximate() {
         }
     }
     // The two counterexamples as quoted above.
-    let job = JobSpec::uniform("bundled-gap", 120, 64.0, astra::workloads::profiles::query());
+    let job = JobSpec::uniform(
+        "bundled-gap",
+        120,
+        64.0,
+        astra::workloads::profiles::query(),
+    );
     let fastest = astra.plan(&job, Objective::fastest()).unwrap();
     assert_eq!(fastest.spec.objects_per_mapper, 1);
     assert!((fastest.predicted_jct_s() - 17.744).abs() < 1e-3);
@@ -425,8 +461,11 @@ fn pruned_planning_is_thread_count_invariant() {
     for threads in [1usize, 2, 8] {
         pin_threads(threads);
         let s = Solvers::new(job.clone(), platform.clone(), &[128, 768, 1792]);
-        let answers: Vec<Option<JobConfig>> =
-            s.objectives().into_iter().map(|o| s.accelerated(o)).collect();
+        let answers: Vec<Option<JobConfig>> = s
+            .objectives()
+            .into_iter()
+            .map(|o| s.accelerated(o))
+            .collect();
         assert!(!answers.is_empty());
         match &reference {
             None => reference = Some(answers),
@@ -462,8 +501,7 @@ fn n50_full_space_smoke() {
     let (t_fast, c_fast) = ev(&fastest);
     let (t_cheap, c_cheap) = ev(&cheapest);
     for frac in [0.0, 0.5, 1.0] {
-        let budget =
-            c_cheap.nanos() as f64 + (c_fast.nanos() - c_cheap.nanos()) as f64 * frac;
+        let budget = c_cheap.nanos() as f64 + (c_fast.nanos() - c_cheap.nanos()) as f64 * frac;
         let deadline_s = t_fast + (t_cheap - t_fast) * frac;
         for objective in [
             Objective::MinimizeTime {

@@ -115,7 +115,11 @@ fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str
     // Potentials must be bit-identical: they are inputs to every label
     // search, so this catches drift even where answers tie.
     let (wp, cp) = (warm.potentials(), cold.potentials());
-    assert_eq!(wp.min_time_to().len(), cp.min_time_to().len(), "{ctx}: node count");
+    assert_eq!(
+        wp.min_time_to().len(),
+        cp.min_time_to().len(),
+        "{ctx}: node count"
+    );
     for (i, (a, b)) in wp.min_time_to().iter().zip(cp.min_time_to()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: min_time_to[{i}]");
     }
@@ -133,13 +137,20 @@ fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str
     assert!(ws.edge_ids() == cs.edge_ids(), "{ctx}: edge ids");
     assert!(bits(ws.times()) == bits(cs.times()), "{ctx}: times");
     assert!(ws.costs() == cs.costs(), "{ctx}: costs");
-    assert!(ws.multiplicity() == cs.multiplicity(), "{ctx}: multiplicity");
+    assert!(
+        ws.multiplicity() == cs.multiplicity(),
+        "{ctx}: multiplicity"
+    );
     assert!(ws.topo() == cs.topo(), "{ctx}: topo");
 
     let fastest = Objective::fastest();
     let cheapest = Objective::cheapest();
     assert_eq!(warm.solve(fastest), cold.solve(fastest), "{ctx}: fastest");
-    assert_eq!(warm.solve(cheapest), cold.solve(cheapest), "{ctx}: cheapest");
+    assert_eq!(
+        warm.solve(cheapest),
+        cold.solve(cheapest),
+        "{ctx}: cheapest"
+    );
 
     let (Ok(lo), Ok(hi)) = (cold.plan(cheapest), cold.plan(fastest)) else {
         return; // fully infeasible job: both sessions agreed on None above
@@ -150,7 +161,11 @@ fn assert_sessions_agree(warm: &PlannerSession, cold: &PlannerSession, ctx: &str
         let o = Objective::MinimizeTime { budget };
         assert_eq!(warm.solve(o), cold.solve(o), "{ctx}: budget step {step}");
         // Same bound again: memo-served answers must equal the fresh solve.
-        assert_eq!(warm.solve(o), cold.solve(o), "{ctx}: budget step {step} (memo)");
+        assert_eq!(
+            warm.solve(o),
+            cold.solve(o),
+            "{ctx}: budget step {step} (memo)"
+        );
     }
     // Deadlines from infeasibly tight to loose around the fastest JCT.
     for (i, frac) in [0.5, 0.9, 1.0, 1.5, 3.0].iter().enumerate() {
@@ -183,19 +198,21 @@ fn requote(
     })
 }
 
-fn run_chain(
-    steps: &[DeltaStep],
-    strategy: SolverStrategy,
-    prune: PruneConfig,
-    threads: usize,
-) {
+fn run_chain(steps: &[DeltaStep], strategy: SolverStrategy, prune: PruneConfig, threads: usize) {
     pin_threads(threads);
     let platform = Platform::aws_lambda();
     let mut job = JobSpec::uniform("replan-chain", 6, 2.0, base_profile(0.4));
     let mut catalog = PriceCatalog::aws_2020();
     let cache = SessionCache::new(64, Telemetry::disabled());
     let key = |job: &JobSpec, catalog: &PriceCatalog| {
-        SessionKey::for_inputs(job, &space(job, &platform), &platform, catalog, strategy, prune)
+        SessionKey::for_inputs(
+            job,
+            &space(job, &platform),
+            &platform,
+            catalog,
+            strategy,
+            prune,
+        )
     };
 
     let (warm, lookup) = requote(&cache, &job, &platform, &catalog, strategy, prune);
@@ -210,7 +227,11 @@ fn run_chain(
         let ctx = format!("step {i} ({step:?}, t={threads})");
         let (warm, lookup) = requote(&cache, &job, &platform, &catalog, strategy, prune);
         let revisit = !seen.insert(key(&job, &catalog));
-        let expected = if revisit { CacheLookup::Hit } else { CacheLookup::Miss };
+        let expected = if revisit {
+            CacheLookup::Hit
+        } else {
+            CacheLookup::Miss
+        };
         assert_eq!(lookup, expected, "{ctx}");
         if matches!(step, DeltaStep::Rename) {
             assert_eq!(lookup, CacheLookup::Hit, "{ctx}: a rename must hit");
@@ -255,7 +276,12 @@ fn fixed_chain_is_thread_count_invariant() {
         DeltaStep::Rename,
     ];
     for &threads in &[1usize, 2, 8] {
-        run_chain(&steps, SolverStrategy::ExactCsp, PruneConfig::off(), threads);
+        run_chain(
+            &steps,
+            SolverStrategy::ExactCsp,
+            PruneConfig::off(),
+            threads,
+        );
         run_chain(&steps, SolverStrategy::ExactCsp, PruneConfig::on(), threads);
     }
 }
@@ -282,7 +308,15 @@ fn outcomes_follow_the_delta_taxonomy() {
         let mut job = JobSpec::uniform("tiers", 6, 2.0, base_profile(0.4));
         let mut catalog = PriceCatalog::aws_2020();
         let lookup = |job: &JobSpec, catalog: &PriceCatalog| {
-            requote(&cache, job, &platform, catalog, SolverStrategy::ExactCsp, prune).1
+            requote(
+                &cache,
+                job,
+                &platform,
+                catalog,
+                SolverStrategy::ExactCsp,
+                prune,
+            )
+            .1
         };
         assert_eq!(lookup(&job, &catalog), CacheLookup::Miss);
 
@@ -297,14 +331,25 @@ fn outcomes_follow_the_delta_taxonomy() {
 
         // Every model-bearing delta misses.
         job.profile.map_secs_per_mb_128 *= 1.01;
-        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "mapper coefficient");
-        catalog.lambda.per_gb_second =
-            Money::from_nanos(catalog.lambda.per_gb_second.nanos() * 2);
+        assert_eq!(
+            lookup(&job, &catalog),
+            CacheLookup::Miss,
+            "mapper coefficient"
+        );
+        catalog.lambda.per_gb_second = Money::from_nanos(catalog.lambda.per_gb_second.nanos() * 2);
         assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "prices");
         job.profile.reduce_secs_per_mb_128 *= 1.01;
-        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "reduce coefficient");
+        assert_eq!(
+            lookup(&job, &catalog),
+            CacheLookup::Miss,
+            "reduce coefficient"
+        );
         job.profile.coord_secs_per_mb_128 *= 1.01;
-        assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "coordinator coefficient");
+        assert_eq!(
+            lookup(&job, &catalog),
+            CacheLookup::Miss,
+            "coordinator coefficient"
+        );
         job = JobSpec::uniform(&job.name, 6, 2.5, job.profile.clone());
         assert_eq!(lookup(&job, &catalog), CacheLookup::Miss, "object size");
         job = JobSpec::uniform(&job.name, 8, 2.5, job.profile.clone());
@@ -314,7 +359,14 @@ fn outcomes_follow_the_delta_taxonomy() {
         assert_eq!((stats.hits, stats.patched, stats.misses), (3, 0, 7));
 
         // The last session still answers like a cold build.
-        let (s, _) = requote(&cache, &job, &platform, &catalog, SolverStrategy::ExactCsp, prune);
+        let (s, _) = requote(
+            &cache,
+            &job,
+            &platform,
+            &catalog,
+            SolverStrategy::ExactCsp,
+            prune,
+        );
         let cold = PlannerSession::new(
             &job,
             platform.clone(),
@@ -336,11 +388,25 @@ fn gate_flip_falls_back_and_stays_exact() {
     let catalog = PriceCatalog::aws_2020();
     let cache = SessionCache::new(4, Telemetry::disabled());
     let prune = PruneConfig::off();
-    let (before, _) = requote(&cache, &job, &platform, &catalog, SolverStrategy::ExactCsp, prune);
+    let (before, _) = requote(
+        &cache,
+        &job,
+        &platform,
+        &catalog,
+        SolverStrategy::ExactCsp,
+        prune,
+    );
     // A 100x mapper slowdown pushes low tiers past the timeout: the
     // feasible set shrinks.
     job.profile.map_secs_per_mb_128 *= 100.0;
-    let (s, lookup) = requote(&cache, &job, &platform, &catalog, SolverStrategy::ExactCsp, prune);
+    let (s, lookup) = requote(
+        &cache,
+        &job,
+        &platform,
+        &catalog,
+        SolverStrategy::ExactCsp,
+        prune,
+    );
     assert_eq!(lookup, CacheLookup::Miss, "gate flip must miss");
     assert!(
         s.dag().soa().edges_stored() < before.dag().soa().edges_stored(),

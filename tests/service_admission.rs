@@ -6,10 +6,10 @@
 mod service_support;
 
 use astra::pricing::Money;
+use astra::service::scheduler::Scheduler;
 use astra::service::{
     Admission, AdmissionController, Envelope, JobStatus, ServiceConfig, ServiceDaemon,
 };
-use astra::service::scheduler::Scheduler;
 use proptest::prelude::*;
 use service_support::mixed_requests;
 use std::collections::VecDeque;
@@ -144,10 +144,7 @@ fn service_rejects_oversized_claims_and_completes_the_rest() {
         .iter()
         .map(|r| service_support::reference(r).plan.predicted_cost())
         .collect();
-    let (min_claim, max_claim) = (
-        *claims.iter().min().unwrap(),
-        *claims.iter().max().unwrap(),
-    );
+    let (min_claim, max_claim) = (*claims.iter().min().unwrap(), *claims.iter().max().unwrap());
     assert!(min_claim < max_claim, "mix too uniform to split");
     let budget = Money::from_nanos((min_claim.nanos() + max_claim.nanos()) / 2);
 

@@ -50,10 +50,8 @@ fn quiet_config() -> ServiceConfig {
 /// A unique scratch path for one test's journal; removed up front so a
 /// crashed previous run cannot leak state in.
 fn scratch_journal(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "astra-chaos-{}-{tag}.journal",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("astra-chaos-{}-{tag}.journal", std::process::id()));
     let _ = std::fs::remove_file(&path);
     path
 }
@@ -107,9 +105,7 @@ fn injected_panics_fail_only_their_victims() {
         })
         .find(|plan| {
             let statuses: Vec<JobStatus> = (1..=n)
-                .map(|id| {
-                    predicted_status(plan, id, requests[(id - 1) as usize].sim.replications)
-                })
+                .map(|id| predicted_status(plan, id, requests[(id - 1) as usize].sim.replications))
                 .collect();
             let count = |s: JobStatus| statuses.iter().filter(|&&got| got == s).count();
             count(JobStatus::Rejected) >= 1
@@ -157,7 +153,10 @@ fn injected_panics_fail_only_their_victims() {
     wait_for("claims to drain", || {
         handle.queue_len() == 0 && handle.in_flight() == 0
     });
-    assert_eq!(recorder.counter_value("service.worker.panics"), panic_victims);
+    assert_eq!(
+        recorder.counter_value("service.worker.panics"),
+        panic_victims
+    );
     assert!(recorder.counter_value("service.faults.injected") >= panic_victims);
     drop(daemon);
 }
@@ -172,12 +171,11 @@ fn sole_victim_seed(salt: u64, n: JobId) -> u64 {
     (0..100_000u64)
         .map(|k| salt.wrapping_mul(1_000_003).wrapping_add(k))
         .find(|&seed| {
-            let plan = FaultPlan::seeded(seed).with_fault(
-                FaultSite::WorkerFinish,
-                n,
-                FaultAction::Crash,
-            );
-            (1..=n).filter(|&id| plan.fires(FaultSite::WorkerFinish, id)).eq([n])
+            let plan =
+                FaultPlan::seeded(seed).with_fault(FaultSite::WorkerFinish, n, FaultAction::Crash);
+            (1..=n)
+                .filter(|&id| plan.fires(FaultSite::WorkerFinish, id))
+                .eq([n])
         })
         .expect("a sole-victim seed exists in the scan range")
 }
@@ -195,11 +193,8 @@ fn crash_and_recover(seed: u64, threads: &str) {
     let references: Vec<_> = requests.iter().map(reference).collect();
     let n = requests.len() as JobId;
     let crash_seed = sole_victim_seed(seed, n);
-    let faults = FaultPlan::seeded(crash_seed).with_fault(
-        FaultSite::WorkerFinish,
-        n,
-        FaultAction::Crash,
-    );
+    let faults =
+        FaultPlan::seeded(crash_seed).with_fault(FaultSite::WorkerFinish, n, FaultAction::Crash);
     let journal = scratch_journal(&format!("crash-{seed}-t{threads}"));
 
     // Generation 1: runs until the injected crash halts it mid-fleet.
@@ -211,7 +206,11 @@ fn crash_and_recover(seed: u64, threads: &str) {
     );
     let handle1 = gen1.handle();
     let ids: Vec<JobId> = requests.iter().map(|r| handle1.submit(r.clone())).collect();
-    assert_eq!(ids, (1..=n).collect::<Vec<_>>(), "dense ids in submit order");
+    assert_eq!(
+        ids,
+        (1..=n).collect::<Vec<_>>(),
+        "dense ids in submit order"
+    );
     wait_for("the injected crash", || gen1.crashed());
     gen1.abandon();
 
@@ -230,9 +229,7 @@ fn crash_and_recover(seed: u64, threads: &str) {
 
     // Generation 2: same journal, faults off. Terminal jobs replay
     // verbatim; mid-flight jobs re-run to the bit-identical result.
-    let gen2 = ServiceDaemon::start(
-        quiet_config().with_workers(2).with_journal_path(&journal),
-    );
+    let gen2 = ServiceDaemon::start(quiet_config().with_workers(2).with_journal_path(&journal));
     let handle2 = gen2.handle();
     for (&id, lib) in ids.iter().zip(&references) {
         let snap = handle2.await_done(id).expect("recovered id answers");
@@ -247,11 +244,12 @@ fn crash_and_recover(seed: u64, threads: &str) {
 
     // Fresh submissions continue the recovered id sequence.
     let fresh = handle2.submit(requests[0].clone());
-    assert_eq!(fresh, n + 1, "seed {seed}: id sequence must survive restart");
     assert_eq!(
-        handle2.await_done(fresh).unwrap().status,
-        JobStatus::Done
+        fresh,
+        n + 1,
+        "seed {seed}: id sequence must survive restart"
     );
+    assert_eq!(handle2.await_done(fresh).unwrap().status, JobStatus::Done);
     drop(gen2);
 
     // A third replay of the journal agrees with the live table: every
@@ -288,9 +286,7 @@ fn torn_journal_tail_is_truncated_through_a_daemon_restart() {
     let journal = scratch_journal("torn-tail");
     let requests = mixed_requests(4);
 
-    let gen1 = ServiceDaemon::start(
-        quiet_config().with_workers(1).with_journal_path(&journal),
-    );
+    let gen1 = ServiceDaemon::start(quiet_config().with_workers(1).with_journal_path(&journal));
     let handle1 = gen1.handle();
     let ids: Vec<JobId> = requests.iter().map(|r| handle1.submit(r.clone())).collect();
     for &id in &ids {
@@ -301,8 +297,12 @@ fn torn_journal_tail_is_truncated_through_a_daemon_restart() {
     // Tear the tail: half a frame header plus garbage, no valid CRC.
     let clean_len = std::fs::metadata(&journal).unwrap().len();
     {
-        let mut file = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
-        file.write_all(&[0x99, 0x03, 0x00, 0x00, 0xde, 0xad]).unwrap();
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .unwrap();
+        file.write_all(&[0x99, 0x03, 0x00, 0x00, 0xde, 0xad])
+            .unwrap();
     }
     assert!(std::fs::metadata(&journal).unwrap().len() > clean_len);
 
@@ -376,12 +376,16 @@ fn overload_sheds_non_priority_submissions_with_a_retry_hint() {
     // Plug the single envelope slot with a long simulation, then queue
     // one job behind it so the depth threshold (1) is reached.
     let plug = handle.submit(
-        JobRequest::new("plug", WorkloadSpec::wordcount_gb(1).into_job(), Objective::cheapest())
-            .with_sim(SimOptions {
-                noise_cv: 0.2,
-                seed: 42,
-                replications: 768,
-            }),
+        JobRequest::new(
+            "plug",
+            WorkloadSpec::wordcount_gb(1).into_job(),
+            Objective::cheapest(),
+        )
+        .with_sim(SimOptions {
+            noise_cv: 0.2,
+            seed: 42,
+            replications: 768,
+        }),
     );
     wait_for("the plug to hold the slot", || {
         handle.in_flight() == 1 && handle.queue_len() == 0
@@ -413,10 +417,7 @@ fn overload_sheds_non_priority_submissions_with_a_retry_hint() {
     assert_eq!(obj["job"]["retry_after_ms"].as_u64(), Some(350));
 
     // A deadline-class submission is never shed.
-    let qos = handle.submit(mk(
-        "qos",
-        Objective::min_cost_with_deadline_s(3600.0),
-    ));
+    let qos = handle.submit(mk("qos", Objective::min_cost_with_deadline_s(3600.0)));
     assert_ne!(
         handle.status(qos).unwrap().status,
         JobStatus::Rejected,
@@ -441,10 +442,13 @@ fn overload_sheds_non_priority_submissions_with_a_retry_hint() {
 fn idle_timeout_unpins_slow_loris_connections() {
     // A pure scan for a plan that stalls some of four clients, not all.
     let plan = (0..10_000u64)
-        .map(|seed| FaultPlan::seeded(seed).with_fault(FaultSite::ClientStall, 2, FaultAction::Error))
+        .map(|seed| {
+            FaultPlan::seeded(seed).with_fault(FaultSite::ClientStall, 2, FaultAction::Error)
+        })
         .find(|plan| {
-            let stalls: Vec<bool> =
-                (0..4).map(|i| plan.fires(FaultSite::ClientStall, i)).collect();
+            let stalls: Vec<bool> = (0..4)
+                .map(|i| plan.fires(FaultSite::ClientStall, i))
+                .collect();
             stalls.iter().any(|&s| s) && stalls.iter().any(|&s| !s)
         })
         .expect("a mixed stall pattern exists");
@@ -544,7 +548,11 @@ fn connection_faults_never_corrupt_results_and_backoff_reconnects() {
             };
             // Seqs 0..CONNS cover all three fates, and the reconnect
             // probe at seq CONNS lands on a clean connection.
-            (0..CONNS).map(fate).collect::<std::collections::HashSet<_>>().len() == 3
+            (0..CONNS)
+                .map(fate)
+                .collect::<std::collections::HashSet<_>>()
+                .len()
+                == 3
                 && fate(CONNS) == 2
         })
         .expect("a plan with resets, short writes and clean connections exists");
@@ -570,13 +578,18 @@ fn connection_faults_never_corrupt_results_and_backoff_reconnects() {
         if plan.fires(FaultSite::ConnReset, seq as u64) {
             // The server processed the submit, then dropped the line
             // before any response byte.
-            assert!(result.is_err(), "conn {seq}: reset must surface as an error");
+            assert!(
+                result.is_err(),
+                "conn {seq}: reset must surface as an error"
+            );
         } else if plan.fires(FaultSite::ShortWrite, seq as u64) {
             // Half a frame is not a response: the client must treat the
             // torn read as a failure, never as data.
             assert!(result.is_err(), "conn {seq}: short write must not parse");
         } else {
-            let id = result.unwrap()["id"].as_u64().expect("clean submit returns an id");
+            let id = result.unwrap()["id"]
+                .as_u64()
+                .expect("clean submit returns an id");
             assert_eq!(id, seq as u64 + 1);
         }
     }

@@ -16,11 +16,16 @@ use service_support::{assert_matches_reference, mixed_requests, reference, Refer
 const THREADS: [&str; 3] = ["1", "2", "8"];
 const WORKER_POOLS: [usize; 3] = [1, 2, 8];
 
-fn run_mix_through_daemon(config: ServiceConfig, requests: &[astra::service::JobRequest]) -> Vec<astra::service::JobSnapshot> {
+fn run_mix_through_daemon(
+    config: ServiceConfig,
+    requests: &[astra::service::JobRequest],
+) -> Vec<astra::service::JobSnapshot> {
     let daemon = ServiceDaemon::start(config);
     let handle = daemon.handle();
     let ids: Vec<_> = requests.iter().map(|r| handle.submit(r.clone())).collect();
-    ids.iter().map(|&id| handle.await_done(id).unwrap()).collect()
+    ids.iter()
+        .map(|&id| handle.await_done(id).unwrap())
+        .collect()
 }
 
 #[test]
@@ -31,10 +36,8 @@ fn results_are_bit_identical_across_threads_and_worker_pools() {
     for workers in WORKER_POOLS {
         for threads in THREADS {
             std::env::set_var("RAYON_NUM_THREADS", threads);
-            let snapshots = run_mix_through_daemon(
-                ServiceConfig::default().with_workers(workers),
-                &requests,
-            );
+            let snapshots =
+                run_mix_through_daemon(ServiceConfig::default().with_workers(workers), &requests);
             for (snap, reference) in snapshots.iter().zip(&references) {
                 snap.check_history().unwrap();
                 assert_matches_reference(
@@ -97,7 +100,10 @@ fn repeated_runs_of_the_same_mix_are_identical() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.status, JobStatus::Done);
         assert_eq!(a.plan.as_ref().unwrap().spec, b.plan.as_ref().unwrap().spec);
-        assert_eq!(a.plan.as_ref().unwrap().predicted_cost, b.plan.as_ref().unwrap().predicted_cost);
+        assert_eq!(
+            a.plan.as_ref().unwrap().predicted_cost,
+            b.plan.as_ref().unwrap().predicted_cost
+        );
         match (&a.sim, &b.sim) {
             (Some(sa), Some(sb)) => {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -98,7 +98,12 @@ fn shutdown_drains_the_queue_to_terminal_states() {
     let snapshots = daemon.shutdown();
     assert_eq!(snapshots.len(), requests.len());
     for snap in &snapshots {
-        assert!(snap.is_terminal(), "job {} left at {}", snap.id, snap.status);
+        assert!(
+            snap.is_terminal(),
+            "job {} left at {}",
+            snap.id,
+            snap.status
+        );
         assert_eq!(snap.status, JobStatus::Done);
         snap.check_history().unwrap();
     }

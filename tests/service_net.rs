@@ -83,11 +83,8 @@ fn normalized_line(line: &str) -> String {
 
 #[test]
 fn loopback_jobs_match_the_in_process_handle_and_the_library() {
-    let (daemon, server, addr) = start_server(
-        quiet_config(),
-        NetConfig::default(),
-        Telemetry::disabled(),
-    );
+    let (daemon, server, addr) =
+        start_server(quiet_config(), NetConfig::default(), Telemetry::disabled());
     let handle = daemon.handle();
     let mut client = NetClient::connect(&addr).unwrap();
     assert_eq!(
@@ -108,8 +105,14 @@ fn loopback_jobs_match_the_in_process_handle_and_the_library() {
         // The transport adds nothing: the TCP job object is exactly the
         // wire encoding of the in-process snapshot, and that snapshot is
         // bit-identical to the serial library run.
-        let snap = handle.status(id).expect("tcp-issued id is pollable in-process");
-        assert_eq!(over_tcp, wire::snapshot_to_json(&snap), "tcp vs in-process encoding");
+        let snap = handle
+            .status(id)
+            .expect("tcp-issued id is pollable in-process");
+        assert_eq!(
+            over_tcp,
+            wire::snapshot_to_json(&snap),
+            "tcp vs in-process encoding"
+        );
         snap.check_history().unwrap();
         assert_matches_reference(&snap, &lib, "over tcp");
     }
@@ -173,12 +176,16 @@ fn framing_errors_reject_without_dropping_the_connection() {
         assert_eq!(got, code, "line {line:?}");
         // Every framing failure registers a real Rejected job whose
         // snapshot rides the error line and whose reason names the code.
-        let job = obj.get("job").and_then(|j| j.as_object()).unwrap_or_else(|| {
-            panic!("no job snapshot on {code} response")
-        });
+        let job = obj
+            .get("job")
+            .and_then(|j| j.as_object())
+            .unwrap_or_else(|| panic!("no job snapshot on {code} response"));
         assert_eq!(job.get("status"), Some(&Value::from("REJECTED")), "{code}");
         let reason = job["reason"].as_str().unwrap();
-        assert!(reason.starts_with(code), "reason {reason:?} does not lead with {code}");
+        assert!(
+            reason.starts_with(code),
+            "reason {reason:?} does not lead with {code}"
+        );
         rejected_ids.push(job["id"].as_u64().unwrap());
     }
 
@@ -186,7 +193,10 @@ fn framing_errors_reject_without_dropping_the_connection() {
     let miss = client.status(99_999).unwrap();
     let obj = miss.as_object().unwrap();
     assert_eq!(obj["error"]["code"].as_str().unwrap(), codes::UNKNOWN_JOB);
-    assert!(obj.get("job").is_none(), "lookup misses must not register jobs");
+    assert!(
+        obj.get("job").is_none(),
+        "lookup misses must not register jobs"
+    );
 
     // Blank lines are keep-alive no-ops: two lines in one write, the
     // blank one produces no response.
@@ -465,7 +475,15 @@ fn a_flooding_tenant_defers_only_itself_over_tcp() {
     // single worker drains it, then plug the worker with a heavy job
     // (hundreds of 1 GB wordcount replications) while the flood forms.
     let warm = client
-        .submit_id(&mk("warm".into(), "flood", SimOptions { noise_cv: 0.0, seed: 0, replications: 0 }))
+        .submit_id(&mk(
+            "warm".into(),
+            "flood",
+            SimOptions {
+                noise_cv: 0.0,
+                seed: 0,
+                replications: 0,
+            },
+        ))
         .unwrap();
     client.await_done(warm).unwrap();
     let plug_request = JobRequest::new(
@@ -474,16 +492,28 @@ fn a_flooding_tenant_defers_only_itself_over_tcp() {
         Objective::cheapest(),
     )
     .with_tenant("flood")
-    .with_sim(SimOptions { noise_cv: 0.2, seed: 42, replications: 1024 });
+    .with_sim(SimOptions {
+        noise_cv: 0.2,
+        seed: 42,
+        replications: 1024,
+    });
     let plug = client.submit_id(&plug_request).unwrap();
 
     const FLOOD: usize = 30;
     const QUIET: usize = 3;
     let flood_ids: Vec<JobId> = (0..FLOOD)
-        .map(|i| client.submit_id(&mk(format!("flood-{i}"), "flood", sim(100 + i as u64))).unwrap())
+        .map(|i| {
+            client
+                .submit_id(&mk(format!("flood-{i}"), "flood", sim(100 + i as u64)))
+                .unwrap()
+        })
         .collect();
     let quiet_ids: Vec<JobId> = (0..QUIET)
-        .map(|i| client.submit_id(&mk(format!("quiet-{i}"), "quiet", sim(200 + i as u64))).unwrap())
+        .map(|i| {
+            client
+                .submit_id(&mk(format!("quiet-{i}"), "quiet", sim(200 + i as u64)))
+                .unwrap()
+        })
         .collect();
     for &id in flood_ids.iter().chain(&quiet_ids) {
         let done = client.await_done(id).unwrap();
@@ -547,7 +577,13 @@ fn a_flooding_tenant_defers_only_itself_over_tcp() {
     );
 
     // The quiet tenant's median queue wait sits well below the flood's.
-    let wait = |id: JobId| jobs.iter().find(|s| s.id == id).unwrap().metrics.queue_wait_ns;
+    let wait = |id: JobId| {
+        jobs.iter()
+            .find(|s| s.id == id)
+            .unwrap()
+            .metrics
+            .queue_wait_ns
+    };
     let median = |ids: &[JobId]| {
         let mut waits: Vec<u64> = ids.iter().map(|&id| wait(id)).collect();
         waits.sort_unstable();
@@ -612,7 +648,8 @@ fn resubmit_requotes_via_clone_and_patch() {
     let mut revised = base.clone();
     revised.job.profile.map_secs_per_mb_128 *= 1.4;
 
-    let (daemon, server, addr) = start_server(config.clone(), NetConfig::default(), Telemetry::disabled());
+    let (daemon, server, addr) =
+        start_server(config.clone(), NetConfig::default(), Telemetry::disabled());
     let mut client = NetClient::connect(&addr).unwrap();
     let prior = client.submit_id(&base).unwrap();
     client.await_done(prior).unwrap();

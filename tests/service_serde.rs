@@ -16,9 +16,8 @@ use service_support::mixed_requests;
 fn every_mixed_request_round_trips_losslessly() {
     for (i, request) in mixed_requests(10).into_iter().enumerate() {
         let text = serde_json::to_string_pretty(&wire::job_request_to_json(&request)).unwrap();
-        let back = wire::job_request_from_str(&text).unwrap_or_else(|e| {
-            panic!("request {i} failed to re-parse: {e}\n{text}")
-        });
+        let back = wire::job_request_from_str(&text)
+            .unwrap_or_else(|e| panic!("request {i} failed to re-parse: {e}\n{text}"));
         assert_eq!(back, request, "request {i} round-trip drifted");
     }
 }
@@ -30,13 +29,19 @@ fn budgets_round_trip_to_the_nanodollar() {
     let mut request = mixed_requests(1).remove(0);
     request.objective = Objective::fastest();
     let text = serde_json::to_string(&wire::job_request_to_json(&request)).unwrap();
-    assert_eq!(wire::job_request_from_str(&text).unwrap().objective, request.objective);
+    assert_eq!(
+        wire::job_request_from_str(&text).unwrap().objective,
+        request.objective
+    );
 
     request.objective = Objective::MinimizeTime {
         budget: Money::from_nanos(123_456_789_000_000_007),
     };
     let text = serde_json::to_string(&wire::job_request_to_json(&request)).unwrap();
-    assert_eq!(wire::job_request_from_str(&text).unwrap().objective, request.objective);
+    assert_eq!(
+        wire::job_request_from_str(&text).unwrap().objective,
+        request.objective
+    );
 }
 
 #[test]
@@ -52,7 +57,9 @@ fn status_names_round_trip() {
 fn unknown_fields_fail_parsing_and_reject_through_the_daemon() {
     let request = mixed_requests(1).remove(0);
     let mut value = wire::job_request_to_json(&request);
-    let Value::Object(map) = &mut value else { panic!() };
+    let Value::Object(map) = &mut value else {
+        panic!()
+    };
     map.insert("priority".to_string(), Value::from(9));
     let body = serde_json::to_string(&value).unwrap();
 
@@ -73,7 +80,10 @@ fn unknown_fields_fail_parsing_and_reject_through_the_daemon() {
     assert_eq!(snap.status, JobStatus::Rejected);
     snap.check_history().unwrap();
     assert!(
-        snap.reason.as_ref().unwrap().contains("unknown field 'priority'"),
+        snap.reason
+            .as_ref()
+            .unwrap()
+            .contains("unknown field 'priority'"),
         "reason: {:?}",
         snap.reason
     );
@@ -105,7 +115,9 @@ fn invalid_specs_parse_but_reject_with_validation_reasons() {
     let snap = handle.await_done(id).unwrap();
     assert_eq!(snap.status, JobStatus::Rejected);
     let encoded = wire::snapshot_to_json(&snap);
-    let Value::Object(map) = &encoded else { panic!() };
+    let Value::Object(map) = &encoded else {
+        panic!()
+    };
     assert_eq!(map.get("status").unwrap().as_str().unwrap(), "REJECTED");
     assert!(map.get("reason").unwrap().as_str().is_some());
 }
@@ -124,7 +136,9 @@ fn done_snapshots_encode_results_exactly() {
     assert_eq!(snap.status, JobStatus::Done);
 
     let encoded = wire::snapshot_to_json(&snap);
-    let Value::Object(map) = &encoded else { panic!() };
+    let Value::Object(map) = &encoded else {
+        panic!()
+    };
     assert_eq!(map.get("id").unwrap().as_u64().unwrap(), snap.id);
     assert_eq!(map.get("status").unwrap().as_str().unwrap(), "DONE");
     let Some(Value::Object(plan)) = map.get("plan") else {
@@ -133,7 +147,12 @@ fn done_snapshots_encode_results_exactly() {
     // Predicted cost encodes as the exact nanodollar string.
     assert_eq!(
         plan.get("predicted_cost_nanos").unwrap().as_str().unwrap(),
-        snap.plan.as_ref().unwrap().predicted_cost.nanos().to_string()
+        snap.plan
+            .as_ref()
+            .unwrap()
+            .predicted_cost
+            .nanos()
+            .to_string()
     );
     let Some(Value::Object(sim)) = map.get("sim") else {
         panic!("simulated snapshot must encode sim results")
@@ -141,6 +160,8 @@ fn done_snapshots_encode_results_exactly() {
     assert_eq!(sim.get("jct_s").unwrap().as_array().unwrap().len(), 2);
     let history = map.get("history").unwrap().as_array().unwrap();
     assert_eq!(history.len(), snap.history.len());
-    let Some(Value::Object(first)) = history.first() else { panic!() };
+    let Some(Value::Object(first)) = history.first() else {
+        panic!()
+    };
     assert_eq!(first.get("status").unwrap().as_str().unwrap(), "ACCEPTED");
 }

@@ -97,7 +97,11 @@ pub fn assert_matches_reference(snap: &JobSnapshot, reference: &Reference, conte
         snap.reason
     );
     let plan = snap.plan.as_ref().expect("Done jobs carry a plan");
-    assert_eq!(plan.spec, reference.plan.spec, "plan spec, job {} [{context}]", snap.id);
+    assert_eq!(
+        plan.spec, reference.plan.spec,
+        "plan spec, job {} [{context}]",
+        snap.id
+    );
     assert_eq!(
         plan.predicted_jct_s.to_bits(),
         reference.plan.predicted_jct_s().to_bits(),
@@ -111,11 +115,20 @@ pub fn assert_matches_reference(snap: &JobSnapshot, reference: &Reference, conte
         snap.id
     );
     if snap.request.sim.replications == 0 {
-        assert!(snap.sim.is_none(), "plan-only job {} has sim [{context}]", snap.id);
+        assert!(
+            snap.sim.is_none(),
+            "plan-only job {} has sim [{context}]",
+            snap.id
+        );
         return;
     }
     let sim = snap.sim.as_ref().expect("simulated jobs carry results");
-    assert_eq!(sim.jct_s.len(), reference.reports.len(), "job {} [{context}]", snap.id);
+    assert_eq!(
+        sim.jct_s.len(),
+        reference.reports.len(),
+        "job {} [{context}]",
+        snap.id
+    );
     for (rep, report) in reference.reports.iter().enumerate() {
         assert_eq!(
             sim.jct_s[rep].to_bits(),
