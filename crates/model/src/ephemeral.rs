@@ -82,6 +82,19 @@ impl IntermediateStorage {
         let gb_months = (size_mb / 1024.0) * secs / (30.0 * 24.0 * 3600.0);
         Money::from_dollars_f64(self.storage_gb_month_dollars).scale(gb_months)
     }
+
+    /// [`IntermediateStorage::storage_cost`] of one second, in
+    /// nanodollars, before rounding (0 for rented stores).
+    pub fn storage_nanos_per_s(&self, size_mb: f64) -> f64 {
+        Money::from_dollars_f64(self.storage_gb_month_dollars).nanos() as f64 * (size_mb / 1024.0)
+            / (30.0 * 24.0 * 3600.0)
+    }
+
+    /// [`IntermediateStorage::rental_cost`] of one second, in
+    /// nanodollars, before rounding.
+    pub fn rental_nanos_per_s(&self) -> f64 {
+        self.rental_per_hour.nanos() as f64 / 3600.0
+    }
 }
 
 #[cfg(test)]
