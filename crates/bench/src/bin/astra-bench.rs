@@ -2,7 +2,7 @@
 //!
 //! Unlike the Criterion benches (exploratory, human-read), this runner
 //! executes a pinned set of planner benchmarks — DAG construction
-//! (serial and parallel, plus the dominance-pruned build), the ExactCsp
+//! (unpruned, plus the dominance-pruned build), the ExactCsp
 //! solve (plain and potential-guided), the 16-bound session sweep
 //! (cold rebuilds vs one reused `PlannerSession`), and the exhaustive
 //! sweep (serial and parallel) — at fixed sizes including the
@@ -18,7 +18,7 @@
 //!             [--tolerance FRAC]    allowed relative slowdown (default 0.20)
 //!             [--sizes tiny|full]   tiny = N=10 only (CI); full = 10/50/202
 //!             [--samples N]         timed samples per bench (default 5)
-//!             [--threads N]         pin the planner thread count
+//!             [--threads N]         pin the exhaustive sweep's thread count
 //!             [--no-prune]          run the pruning-aware entries unpruned
 //! ```
 //!
@@ -75,7 +75,7 @@ fn run_suite(args: &BenchArgs) -> Value {
         // plain lexicographic label search, exactly as every committed
         // baseline measured them.
         let (serial_mean, serial_min) = time_ms(args.samples, || {
-            PlannerDag::build_serial_with(
+            PlannerDag::build_with(
                 &job,
                 astra.platform(),
                 astra.catalog(),
@@ -92,32 +92,8 @@ fn run_suite(args: &BenchArgs) -> Value {
             serial_min,
         );
 
-        let (par_mean, par_min) = time_ms(args.samples, || {
-            PlannerDag::build_with(
-                &job,
-                astra.platform(),
-                astra.catalog(),
-                &space,
-                PruneConfig::off(),
-            )
-        });
-        push(
-            &mut results,
-            format!("dag_build_parallel/N{n}"),
-            n,
-            tiers,
-            par_mean,
-            par_min,
-        );
-        speedups.push(json!({
-            "name": format!("dag_build/N{n}"),
-            "serial_ms": serial_min,
-            "parallel_ms": par_min,
-            "speedup": serial_min / par_min,
-        }));
-
-        // The dominance-pruned parallel build (what planning actually
-        // runs now): pays the Pareto filters, produces a smaller DAG.
+        // The dominance-pruned build (what planning actually runs now):
+        // pays the Pareto filters, produces a smaller DAG.
         let (pb_mean, pb_min) = time_ms(args.samples, || {
             PlannerDag::build_with(&job, astra.platform(), astra.catalog(), &space, prune)
         });

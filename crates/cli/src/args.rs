@@ -1,5 +1,6 @@
 //! Argument parsing for the `astra` binary.
 
+use astra_service::ServiceConfig;
 use astra_workloads::WorkloadSpec;
 
 /// Planning/simulation options shared by several subcommands.
@@ -32,7 +33,7 @@ pub struct JobOpts {
 pub struct ServeOpts {
     /// How many jobs to submit (`--jobs`, default 12).
     pub jobs: usize,
-    /// Daemon worker-pool size (`--workers`, default 2).
+    /// Daemon worker-pool size (`--workers`, default: one per core).
     pub workers: usize,
     /// Simulation replications per job (`--reps`, default 1; 0 = plan only).
     pub reps: u32,
@@ -59,7 +60,7 @@ impl Default for ServeOpts {
     fn default() -> Self {
         ServeOpts {
             jobs: 12,
-            workers: 2,
+            workers: ServiceConfig::default().workers,
             reps: 1,
             noise_cv: 0.1,
             seed: 42,
@@ -77,7 +78,7 @@ impl Default for ServeOpts {
 pub struct SubmitOpts {
     /// The workload/objective/noise/seed options shared with `plan`.
     pub job: JobOpts,
-    /// Daemon worker-pool size (`--workers`, default 2).
+    /// Daemon worker-pool size (`--workers`, default: one per core).
     pub workers: usize,
     /// Simulation replications (`--reps`, default 1; 0 = plan only).
     pub reps: u32,
@@ -352,7 +353,7 @@ fn parse_serve_opts(args: &[String]) -> Result<ServeOpts, ParseError> {
 fn parse_submit_opts(args: &[String]) -> Result<SubmitOpts, ParseError> {
     // Peel off the submit-specific flags, hand the rest to the shared
     // job-option parser.
-    let mut workers = 2usize;
+    let mut workers = ServiceConfig::default().workers;
     let mut reps = 1u32;
     let mut json = false;
     let mut connect = None;
@@ -599,7 +600,7 @@ mod tests {
         let cmd = parse(&argv("submit -w wc1 --metrics")).unwrap();
         assert!(cmd.metrics());
         let Command::Submit(opts) = cmd else { panic!() };
-        assert_eq!(opts.workers, 2);
+        assert_eq!(opts.workers, ServiceConfig::default().workers);
         assert_eq!(opts.reps, 1);
         assert!(!opts.json);
 

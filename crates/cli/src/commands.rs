@@ -298,8 +298,13 @@ fn serve_listen(opts: &ServeOpts, addr: &str, out: &mut dyn Write) -> std::io::R
         }
     }
     server.shutdown();
-    let drained = daemon.shutdown();
-    writeln!(out, "server stopped; daemon drained {} jobs", drained.len())
+    let handle = daemon.handle();
+    daemon.shutdown();
+    writeln!(
+        out,
+        "server stopped; daemon drained {} jobs",
+        handle.jobs().len()
+    )
 }
 
 /// `astra serve` — with `--listen`, run the TCP front end; otherwise
@@ -395,8 +400,12 @@ pub fn serve(opts: ServeOpts, out: &mut dyn Write) -> std::io::Result<()> {
         "\nsession cache: {} hits / {} misses / {} evictions ({} live entries)",
         stats.hits, stats.misses, stats.evictions, stats.entries
     )?;
-    let drained = daemon.shutdown();
-    writeln!(out, "daemon drained cleanly: {} jobs total", drained.len())
+    daemon.shutdown();
+    writeln!(
+        out,
+        "daemon drained cleanly: {} jobs total",
+        handle.jobs().len()
+    )
 }
 
 /// Print the human-readable summary of a wire snapshot (the `job`
@@ -571,8 +580,9 @@ FLAGS:
     -d, --deadline <secs>   minimize cost under this completion-time threshold
         --noise <cv>        simulator runtime-noise CV (default 0.1)
         --seed <n>          simulator seed (default 42)
-    -t, --threads <n>       planner worker threads (default: all cores;
-                            any value yields the same plan)
+    -t, --threads <n>       worker threads for exhaustive search, the frontier
+                            walk and sweeps (default: all cores; any value
+                            yields the same plan)
         --trace-out <path>  write a Chrome trace of the run (open in
                             chrome://tracing or Perfetto); see OBSERVABILITY.md
         --metrics           print telemetry counters and the phase-breakdown
@@ -586,7 +596,7 @@ SERVICE FLAGS (serve/submit):
         --tenant <name>     submit: tenant lane for the request (fair-share
                             scheduling is per tenant; default \"\")
         --jobs <n>          serve: how many demo jobs to submit (default 12)
-        --workers <n>       daemon worker-pool size (default 2)
+        --workers <n>       daemon worker-pool size (default: one per core)
         --journal <path>    serve: replay this durable job journal on start
                             and log every lifecycle transition to it
         --reps <n>          simulation replications per job (0 = plan only)

@@ -120,22 +120,21 @@
 //!   the current billing bucket — exact because a nondecreasing duration
 //!   below `billed + 0.5` µs rounds into the same bucket.
 //!
-//! ## Parallel construction
+//! ## Construction order
 //!
 //! Building columns 2–4 dominates planning time: it evaluates the
 //! analytical model once per `(k_M, tier)` for the mapper edges and, for
 //! the pairs it prices, once per `(k_M, k_R, tier)` for the reduce
-//! edges. [`PlannerDag::build`] evaluates those edge metrics in parallel
-//! (rayon) as side-effect-free *recipes*. Under pruning column 3 runs in
-//! three order-preserving passes: every pair's bound, the seeds' frames
-//! and prices, and the other pairs' certificates or prices, with the
-//! serial seed pick and frontier checks between and after them. The DAG
-//! is then assembled serially from the collected recipes in a fixed
-//! order — `k_M` in `space.k_m_values` order, `k_R` in candidate order,
-//! tiers in `space.memory_tiers_mb` order — so node and edge IDs are
-//! identical for every thread count and identical to
-//! [`PlannerDag::build_serial`], which runs the same recipe functions on
-//! one thread (equivalence tests assert store-level bit-identity).
+//! edges. [`PlannerDag::build`] evaluates those edge metrics as
+//! side-effect-free *recipes*, on the calling thread: a daemon runs one
+//! job per worker, so the job, not the build, is the unit of
+//! parallelism. Under pruning column 3 runs in three passes: every
+//! pair's bound, the seeds' frames and prices, and the other pairs'
+//! certificates or prices, with the seed pick and frontier checks
+//! between and after them. The DAG is then assembled from the collected
+//! recipes in a fixed order — `k_M` in `space.k_m_values` order, `k_R`
+//! in candidate order, tiers in `space.memory_tiers_mb` order — so node
+//! and edge IDs are a pure function of the inputs.
 //!
 //! A column-3 recipe prices each `(coordinator, reducer)` pair once, into
 //! the table above. Its reducer-tier times come straight from the pair's
@@ -168,7 +167,6 @@ use astra_model::perf::{coordinator_compute_secs, reduce_tier_times, ReduceStruc
 use astra_model::schedule::{total_input_mb, total_output_mb};
 use astra_model::{JobConfig, JobSpec, Platform};
 use astra_pricing::{Money, PriceCatalog};
-use rayon::prelude::*;
 
 use crate::cache::ModelCache;
 use crate::space::ConfigSpace;
@@ -1639,12 +1637,8 @@ fn frontier_pass(
 }
 
 impl PlannerDag {
-    /// Construct the DAG for `job` over `space`, pricing with `catalog`.
-    ///
-    /// Edge metrics for columns 2–4 are evaluated in parallel over the
-    /// `(k_M, k_R, tier)` choices; assembly is serial and ordered, so the
-    /// resulting graph is bit-identical to [`PlannerDag::build_serial`]
-    /// for every thread count.
+    /// Construct the DAG for `job` over `space`, pricing with `catalog`,
+    /// on the calling thread (module docs, "Construction order").
     pub fn build(
         job: &JobSpec,
         platform: &Platform,
@@ -1676,44 +1670,6 @@ impl PlannerDag {
         cache: &ModelCache<'_>,
         prune: PruneConfig,
     ) -> PlannerDag {
-        Self::construct(catalog, space, cache, prune, true)
-    }
-
-    /// Single-threaded reference construction: runs the same recipe
-    /// functions as [`PlannerDag::build`] on plain iterators and feeds
-    /// the identical assembly, so the two are bit-identical by
-    /// construction (and a test asserts it stays that way).
-    pub fn build_serial(
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-    ) -> PlannerDag {
-        Self::build_serial_with(job, platform, catalog, space, PruneConfig::default())
-    }
-
-    /// [`PlannerDag::build_serial`] with explicit [`PruneConfig`].
-    pub fn build_serial_with(
-        job: &JobSpec,
-        platform: &Platform,
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-        prune: PruneConfig,
-    ) -> PlannerDag {
-        let cache = ModelCache::new(job, platform);
-        Self::construct(catalog, space, &cache, prune, false)
-    }
-
-    /// The one construction routine; `parallel` picks rayon or plain
-    /// iterators for the recipe passes, which are order-preserving either
-    /// way.
-    fn construct(
-        catalog: &PriceCatalog,
-        space: &ConfigSpace,
-        cache: &ModelCache<'_>,
-        prune: PruneConfig,
-        parallel: bool,
-    ) -> PlannerDag {
         // Wall-clock spans per construction pass follow the process-global
         // telemetry handle (installed by the CLI / experiment binaries);
         // they are observational only and do not touch the build itself.
@@ -1727,12 +1683,11 @@ impl PlannerDag {
         let col2: Vec<Col2Recipe> = {
             let mut span = tel.wall_span("planner", "dag.col2", "planner");
             span.set_parent(build_span.id());
-            ordered_map(&space.k_m_values, parallel, |&k_m| {
-                col2_recipe(platform, catalog, space, cache, prune, k_m)
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+            space
+                .k_m_values
+                .iter()
+                .filter_map(|&k_m| col2_recipe(platform, catalog, space, cache, prune, k_m))
+                .collect()
         };
 
         // Pass 2: reduce edges per (k_M, k_R) pair, as `(column-2 recipe
@@ -1751,18 +1706,17 @@ impl PlannerDag {
                 })
                 .collect();
             if prune.pareto_tiers {
-                frontier_col3(catalog, space, cache, &table, col2, &work, parallel)
+                frontier_col3(catalog, space, cache, &table, col2, &work)
             } else {
-                let col3 = ordered_map(&work, parallel, |&(ci, k_m, k_r)| {
-                    let shape = pair_shape(catalog, cache, k_m, k_r)?;
-                    let frame = pair_frame(catalog, space, cache, &table, &shape);
-                    Some((ci, price_pair(platform, catalog, space, frame, prune)))
-                });
-                (
-                    col2,
-                    col3.into_iter().flatten().collect(),
-                    PruneStats::default(),
-                )
+                let col3 = work
+                    .iter()
+                    .filter_map(|&(ci, k_m, k_r)| {
+                        let shape = pair_shape(catalog, cache, k_m, k_r)?;
+                        let frame = pair_frame(catalog, space, cache, &table, &shape);
+                        Some((ci, price_pair(platform, catalog, space, frame, prune)))
+                    })
+                    .collect();
+                (col2, col3, PruneStats::default())
             }
         };
 
@@ -1882,19 +1836,6 @@ impl PlannerDag {
     }
 }
 
-/// `items.map(f)` in input order, on rayon's pool or on this thread.
-fn ordered_map<T: Sync, U: Send>(
-    items: &[T],
-    parallel: bool,
-    f: impl Fn(&T) -> U + Sync + Send,
-) -> Vec<U> {
-    if parallel {
-        items.par_iter().map(f).collect()
-    } else {
-        items.iter().map(f).collect()
-    }
-}
-
 /// Column 3 under pruning (module docs, "Dominance pruning"), in three
 /// passes. First every pair gets its [`pair_bound`], no frame; the pairs
 /// whose bound points escape the staircase of all bound points are the
@@ -1912,19 +1853,18 @@ fn frontier_col3(
     table: &TierTable,
     col2: Vec<Col2Recipe>,
     work: &[(usize, usize, usize)],
-    parallel: bool,
 ) -> (Vec<Col2Recipe>, Vec<(usize, Col3Recipe)>, PruneStats) {
     let (prune, t) = (PruneConfig::on(), space.memory_tiers_mb.len());
     let mappers = |wi: usize| col2[work[wi].0].mapper_edges.as_slice();
 
     // Pass 1: every pair's shape and bound; `None` where a cap fails.
-    let (shapes, bounds): (Vec<Option<PairShape>>, Vec<Option<PairBound>>) =
-        ordered_map(work, parallel, |&(_, k_m, k_r)| {
+    let (shapes, bounds): (Vec<Option<PairShape>>, Vec<Option<PairBound>>) = work
+        .iter()
+        .map(|&(_, k_m, k_r)| {
             let shape = pair_shape(catalog, cache, k_m, k_r)?;
             let bound = pair_bound(catalog, cache, table, &shape);
             Some((shape, bound))
         })
-        .into_iter()
         .map(Option::unzip)
         .unzip();
     let price = |wi: usize| {
@@ -1935,17 +1875,20 @@ fn frontier_col3(
     let (seeds, rest) = pick_seeds(&bounds, |wi| mapper_extremes(mappers(wi)));
 
     // Pass 2: the seeds, priced.
-    let seeds: Vec<(usize, Col3Recipe)> = ordered_map(&seeds, parallel, |&wi| (wi, price(wi)));
+    let seeds: Vec<(usize, Col3Recipe)> = seeds.iter().map(|&wi| (wi, price(wi))).collect();
     let pairs: Vec<_> = seeds.iter().map(|(wi, r)| (r, mappers(*wi))).collect();
     let (seed_stairs, seed_points) = frontier_pass(&Staircase::default(), &pairs, t);
 
     // Pass 3: the rest, certified dead on the bound alone (`None`) or
     // priced.
-    let rest: Vec<(usize, Option<Col3Recipe>)> = ordered_map(&rest, parallel, |&wi| {
-        let bound = bounds[wi].as_ref().expect("rest holds bounded pairs");
-        let dead = certified_dead(bound, mappers(wi), &seed_stairs);
-        (wi, (!dead).then(|| price(wi)))
-    });
+    let rest: Vec<(usize, Option<Col3Recipe>)> = rest
+        .iter()
+        .map(|&wi| {
+            let bound = bounds[wi].as_ref().expect("rest holds bounded pairs");
+            let dead = certified_dead(bound, mappers(wi), &seed_stairs);
+            (wi, (!dead).then(|| price(wi)))
+        })
+        .collect();
     let priced: Vec<(usize, &Col3Recipe)> = rest
         .iter()
         .filter_map(|(wi, r)| Some((*wi, r.as_ref()?)))
@@ -2295,10 +2238,23 @@ mod tests {
         let platform = Platform::paper_literal(10.0);
         let catalog = PriceCatalog::aws_2020();
         let space = ConfigSpace::with_tiers(&j, &platform, &[128, 1024]);
-        let a = PlannerDag::build_with(&j, &platform, &catalog, &space, PruneConfig::off());
-        let b = PlannerDag::build_serial_with(&j, &platform, &catalog, &space, PruneConfig::off());
-        assert_eq!(a.nodes().len(), b.nodes().len());
-        assert_eq!(a.soa().edges_stored(), b.soa().edges_stored());
+        let dag = PlannerDag::build_with(&j, &platform, &catalog, &space, PruneConfig::off());
+        let mut coords: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut pairs = 0;
+        for node in dag.nodes() {
+            match *node {
+                Choice::ObjectsPerReducer { .. } => pairs += 1,
+                Choice::CoordinatorMem { k_m, k_r, .. } => {
+                    *coords.entry((k_m, k_r)).or_default() += 1
+                }
+                _ => {}
+            }
+        }
+        assert!(pairs > 0);
+        assert_eq!(coords.len(), pairs);
+        for (pair, n) in coords {
+            assert_eq!(n, space.memory_tiers_mb.len(), "pair {pair:?}");
+        }
     }
 
     #[test]

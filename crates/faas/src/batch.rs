@@ -101,8 +101,10 @@ impl SimBatch {
             .collect()
     }
 
-    /// Reference implementation: the serial loop the parallel `run()` is
-    /// tested against.
+    /// Every run on the calling thread, in push order: the reference the
+    /// parallel `run()` is tested against, and the service daemon's path
+    /// for a job's replications (a job runs on one worker thread, so its
+    /// runs reuse that thread's parked simulator arena).
     pub fn run_serial(self) -> Vec<Result<SimReport, SimError>> {
         self.runs
             .into_iter()

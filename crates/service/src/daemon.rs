@@ -20,10 +20,14 @@
 //! them the job with its admission plan, and drive the job
 //! `Accepted → Planned → Simulating → Done` (skipping `Simulating` for
 //! plan-only requests) without touching the session cache again.
-//! Replications fan out on a [`SimBatch`], whose results are
-//! bit-identical to a serial loop at any thread count; combined with
-//! the scheduler's FIFO dispatch this yields the service determinism
-//! contract (crate docs).
+//!
+//! The job is the unit of parallelism: a job's session build and its
+//! replications run on the worker's own thread, and the pool (one
+//! worker per core by default) runs jobs side by side. Replications run
+//! with [`SimBatch::run_serial`], so they reuse the worker thread's
+//! parked simulator arena; results are bit-identical to
+//! [`SimBatch::run`] at any thread count, and with the scheduler's FIFO
+//! dispatch this yields the service determinism contract (crate docs).
 //!
 //! A worker panic is caught per job and recorded as `Failed` with the
 //! captured panic payload as its reason (plus a
@@ -91,7 +95,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// lets jobs share sessions at all.
 #[derive(Clone)]
 pub struct ServiceConfig {
-    /// Worker threads driving job lifecycles.
+    /// Worker threads driving job lifecycles; defaults to the number of
+    /// cores, since each job runs on one thread.
     pub workers: usize,
     /// Bounded submission-queue length; submissions beyond it are
     /// rejected (never silently dropped).
@@ -127,7 +132,7 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 2,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_capacity: 1024,
             cache_capacity: 32,
             envelope: Envelope::unbounded(),
@@ -191,7 +196,9 @@ impl ServiceConfig {
 
 struct JobTable {
     next_id: JobId,
-    jobs: HashMap<JobId, JobSnapshot>,
+    /// Boxed, so a table resize moves pointers rather than whole
+    /// snapshots, and the old and new slot arrays stay small.
+    jobs: HashMap<JobId, Box<JobSnapshot>>,
 }
 
 struct Inner {
@@ -228,7 +235,7 @@ impl Inner {
         if let Some(journal) = &self.journal {
             journal.record_submitted(id, &snap.request, snap.history[0].1);
         }
-        table.jobs.insert(id, snap);
+        table.jobs.insert(id, Box::new(snap));
     }
 
     /// Insert a fresh `Accepted` record and return its id.
@@ -394,7 +401,7 @@ impl Inner {
             batch.push(config, compiled.roots.clone(), compiled.inputs.clone());
         }
         let mut sim = SimOutcome::default();
-        for report in batch.run() {
+        for report in batch.run_serial() {
             let report = report.map_err(|e| format!("simulation failed: {e}"))?;
             sim.jct_s.push(report.jct_s());
             sim.cost.push(report.total_cost());
@@ -488,7 +495,7 @@ impl Inner {
 
     fn jobs_sorted(&self) -> Vec<JobSnapshot> {
         let table = self.table.lock().unwrap();
-        let mut jobs: Vec<JobSnapshot> = table.jobs.values().cloned().collect();
+        let mut jobs: Vec<JobSnapshot> = table.jobs.values().map(|s| (**s).clone()).collect();
         jobs.sort_by_key(|s| s.id);
         jobs
     }
@@ -591,7 +598,7 @@ impl ServiceDaemon {
                 table.next_id = recovery.max_id().unwrap_or(0);
                 for job in &recovery.jobs {
                     if let Some(snapshot) = &job.terminal {
-                        table.jobs.insert(job.id, snapshot.clone());
+                        table.jobs.insert(job.id, Box::new(snapshot.clone()));
                     }
                 }
             }
@@ -643,10 +650,11 @@ impl ServiceDaemon {
     }
 
     /// Stop accepting submissions, drain every queued job to a terminal
-    /// state, join the workers, and return all job records in id order.
-    pub fn shutdown(mut self) -> Vec<JobSnapshot> {
+    /// state and join the workers. The job table outlives the daemon:
+    /// handles keep answering [`ServiceHandle::status`] and
+    /// [`ServiceHandle::jobs`] for every id afterwards.
+    pub fn shutdown(mut self) {
         self.close_and_join();
-        self.inner.jobs_sorted()
     }
 
     fn close_and_join(&mut self) {
@@ -734,7 +742,8 @@ impl ServiceHandle {
 
     /// A point-in-time copy of one job's record.
     pub fn status(&self, id: JobId) -> Option<JobSnapshot> {
-        self.inner.table.lock().unwrap().jobs.get(&id).cloned()
+        let table = self.inner.table.lock().unwrap();
+        table.jobs.get(&id).map(|s| (**s).clone())
     }
 
     /// Block until the job reaches a terminal state; returns its final
@@ -744,7 +753,7 @@ impl ServiceHandle {
         loop {
             match table.jobs.get(&id) {
                 None => return None,
-                Some(snap) if snap.is_terminal() => return Some(snap.clone()),
+                Some(snap) if snap.is_terminal() => return Some((**snap).clone()),
                 Some(_) => table = self.inner.job_changed.wait(table).unwrap(),
             }
         }
@@ -893,16 +902,37 @@ mod tests {
         let daemon = ServiceDaemon::start(small_config().with_workers(1));
         let handle = daemon.handle();
         let ids: Vec<JobId> = (0..4).map(|i| handle.submit(request(3 + i))).collect();
-        let snapshots = daemon.shutdown();
-        assert_eq!(snapshots.len(), 4);
+        daemon.shutdown();
+        assert_eq!(handle.jobs().len(), 4);
         for id in ids {
-            let snap = snapshots.iter().find(|s| s.id == id).unwrap();
+            // The table outlives the pool: handles still answer for it.
+            let snap = handle.status(id).expect("drained job still answers");
             assert_eq!(snap.status, JobStatus::Done, "job {id} not drained");
         }
         let late = handle.submit(request(4));
         let snap = handle.await_done(late).unwrap();
         assert_eq!(snap.status, JobStatus::Rejected);
         assert!(snap.reason.as_ref().unwrap().contains("shutting down"));
+    }
+
+    #[test]
+    fn replications_reuse_the_worker_arena() {
+        // One worker thread runs every replication of every job, so only
+        // the very first simulator allocates its scratch arena.
+        let (tel, rec) = astra_telemetry::sinks::in_memory();
+        let daemon = ServiceDaemon::start(small_config().with_workers(1).with_telemetry(tel));
+        let handle = daemon.handle();
+        let sim = crate::types::SimOptions {
+            replications: 4,
+            ..Default::default()
+        };
+        for n in [3, 4] {
+            let id = handle.submit(request(n).with_sim(sim));
+            assert_eq!(handle.await_done(id).unwrap().status, JobStatus::Done);
+        }
+        daemon.shutdown();
+        assert_eq!(rec.counter_value("batch.arena.alloc"), 1);
+        assert_eq!(rec.counter_value("batch.arena.reuse"), 7);
     }
 
     #[test]

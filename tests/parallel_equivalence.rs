@@ -1,12 +1,12 @@
-//! Parallel/serial equivalence: the rayon-parallel planner hot paths must
-//! be *bit-identical* to their single-threaded references — same DAG
-//! (node labels and every edge-store array), same exhaustive-sweep winner,
-//! and the same plan at any thread count. This is what makes the
-//! parallelism a pure wall-clock optimization rather than a semantics
-//! change.
+//! Parallel/serial equivalence: the exhaustive sweep, which still fans
+//! out over rayon, must be *bit-identical* to its single-threaded
+//! reference, and a plan must not depend on the thread count. This is
+//! what makes the parallelism a pure wall-clock optimization rather
+//! than a semantics change. The DAG build runs on the calling thread,
+//! so it has no parallel twin to compare against.
 
 use astra::core::solver::{solve_exhaustive, solve_exhaustive_serial};
-use astra::core::{Astra, ConfigSpace, Objective, PlannerDag, Strategy};
+use astra::core::{Astra, ConfigSpace, Objective, Strategy};
 use astra::model::{JobSpec, Platform};
 use astra::pricing::PriceCatalog;
 use astra::workloads::WorkloadSpec;
@@ -42,26 +42,6 @@ fn reduced_space(job: &JobSpec, platform: &Platform) -> ConfigSpace {
     ConfigSpace::with_tiers(job, platform, &picks)
 }
 
-/// Assert two planner DAGs are bit-identical: same node labels in id
-/// order and every edge-store array equal bit for bit.
-fn assert_dags_identical(a: &PlannerDag, b: &PlannerDag, context: &str) {
-    assert_eq!(a.source(), b.source(), "source id ({context})");
-    assert_eq!(a.sink(), b.sink(), "sink id ({context})");
-    assert!(a.nodes() == b.nodes(), "node labels ({context})");
-    let (sa, sb) = (a.soa(), b.soa());
-    let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert!(sa.offsets() == sb.offsets(), "offsets ({context})");
-    assert!(sa.heads() == sb.heads(), "heads ({context})");
-    assert!(sa.edge_ids() == sb.edge_ids(), "edge ids ({context})");
-    assert!(bits(sa.times()) == bits(sb.times()), "times ({context})");
-    assert!(sa.costs() == sb.costs(), "costs ({context})");
-    assert!(
-        sa.multiplicity() == sb.multiplicity(),
-        "multiplicity ({context})"
-    );
-    assert!(sa.topo() == sb.topo(), "topo ({context})");
-}
-
 /// Install a global thread-count override. The shim accepts repeated
 /// calls (last wins); with upstream rayon only the first would stick,
 /// which still leaves every assertion below valid.
@@ -69,39 +49,6 @@ fn pin_threads(n: usize) {
     let _ = rayon::ThreadPoolBuilder::new()
         .num_threads(n)
         .build_global();
-}
-
-#[test]
-fn parallel_dag_build_is_bit_identical_to_serial() {
-    let catalog = PriceCatalog::aws_2020();
-    for (jname, job) in jobs() {
-        for (pname, platform) in platforms() {
-            let space = reduced_space(&job, &platform);
-            let serial = PlannerDag::build_serial(&job, &platform, &catalog, &space);
-            for threads in [1, 2, 8] {
-                pin_threads(threads);
-                let parallel = PlannerDag::build(&job, &platform, &catalog, &space);
-                assert_dags_identical(
-                    &serial,
-                    &parallel,
-                    &format!("{jname}/{pname}/threads={threads}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn full_space_dag_build_is_bit_identical() {
-    // One full-space (all 46 tiers) case to cover the production path.
-    let job = WorkloadSpec::wordcount_gb(1).into_job();
-    let platform = Platform::aws_lambda();
-    let catalog = PriceCatalog::aws_2020();
-    let space = ConfigSpace::full(&job, &platform);
-    assert_eq!(space.memory_tiers_mb.len(), 46, "paper tier count");
-    let serial = PlannerDag::build_serial(&job, &platform, &catalog, &space);
-    let parallel = PlannerDag::build(&job, &platform, &catalog, &space);
-    assert_dags_identical(&serial, &parallel, "wordcount-1gb/full-space");
 }
 
 /// The same three profiles on small jobs, for the exhaustive sweep

@@ -95,7 +95,8 @@ fn shutdown_drains_the_queue_to_terminal_states() {
     for request in &requests {
         handle.submit(request.clone());
     }
-    let snapshots = daemon.shutdown();
+    daemon.shutdown();
+    let snapshots = handle.jobs();
     assert_eq!(snapshots.len(), requests.len());
     for snap in &snapshots {
         assert!(

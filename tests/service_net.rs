@@ -128,6 +128,7 @@ fn shutdown_drains_every_job_accepted_over_tcp() {
         NetConfig::default(),
         Telemetry::disabled(),
     );
+    let handle = daemon.handle();
     let mut client = NetClient::connect(&addr).unwrap();
     let ids: Vec<JobId> = mixed_requests(6)
         .iter()
@@ -136,9 +137,9 @@ fn shutdown_drains_every_job_accepted_over_tcp() {
     // The graceful ordering: stop the transport first, then drain the
     // daemon — nothing accepted is abandoned.
     server.shutdown();
-    let snapshots = daemon.shutdown();
+    daemon.shutdown();
     for id in ids {
-        let snap = snapshots.iter().find(|s| s.id == id).unwrap();
+        let snap = handle.status(id).unwrap();
         assert_eq!(snap.status, JobStatus::Done, "job {id} was not drained");
     }
 }
