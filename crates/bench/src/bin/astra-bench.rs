@@ -1,15 +1,23 @@
 //! Fixed-size planner benchmark runner with a regression gate.
 //!
-//! Unlike the Criterion benches (exploratory, human-read), this runner
-//! executes a pinned set of planner benchmarks — DAG construction
-//! (unpruned, plus the dominance-pruned build), the ExactCsp
-//! solve (plain and potential-guided), the 16-bound session sweep
-//! (cold rebuilds vs one reused `PlannerSession`), and the exhaustive
-//! sweep (serial and parallel) — at fixed sizes including the
-//! paper-scale N=202 / L=46 case, plus the production-scale collapsed
-//! entries (`dag_build_collapsed/N1e5`, `solve_csp_collapsed/N1e5`,
-//! run at every size setting), and emits a machine-readable
-//! `BENCH_planner.json`.
+//! Executes a pinned set of planner benchmarks at fixed sizes including
+//! the paper-scale N=202 / L=46 case and emits a machine-readable
+//! `BENCH_planner.json`:
+//!
+//! * `dag_build_serial/N{n}` — the unpruned Fig. 5 DAG build, kept so
+//!   the row stays comparable across every committed baseline;
+//! * `dag_build_pruned/N{n}` — the dominance-pruned build planning runs
+//!   (and, on ragged `cold_distinct`-shaped jobs,
+//!   `dag_build_pruned_jittered`: N=120 at every size setting, N=1000
+//!   under `--sizes full`);
+//! * `solve_csp_potentials/N{n}` — the potential-guided ExactCsp solve
+//!   on the pruned DAG;
+//! * `session_sweep_{cold,reused}/N{n}` — 16 budgets answered by cold
+//!   build+solve runs vs one reused `PlannerSession`;
+//! * `dag_build_collapsed/N1e5`, `solve_csp_collapsed/N1e5` — the
+//!   production-scale collapsed space, run at every size setting;
+//! * `exhaustive_parallel/N{n}` — the exhaustive search
+//!   (`solve_exhaustive`) on a reduced tier set.
 //!
 //! ```text
 //! astra-bench [--out FILE]          write results (default BENCH_planner.json)
@@ -19,24 +27,18 @@
 //!             [--sizes tiny|full]   tiny = N=10 only (CI); full = 10/50/202
 //!             [--samples N]         timed samples per bench (default 5)
 //!             [--threads N]         pin the exhaustive sweep's thread count
-//!             [--no-prune]          run the pruning-aware entries unpruned
 //! ```
 //!
 //! Regression checks compare `min_ms` (the most noise-robust statistic a
-//! small sample offers) for every bench name present in both files. The
-//! historical entries (`dag_build_*`, `solve_exact_csp`) deliberately
-//! keep measuring the *unpruned* DAG and the plain label search, so
-//! their numbers stay comparable across baselines; the dominance-pruned
-//! planner core is tracked by `dag_build_pruned` (and, on ragged
-//! `cold_distinct`-shaped jobs, `dag_build_pruned_jittered`: N=120 at
-//! every size setting, N=1000 under `--sizes full`),
-//! `solve_csp_potentials` and the `session_sweep_*` pair.
+//! small sample offers) for every bench name present in both files; a
+//! baseline of another suite, or one sharing no row with the run, is
+//! refused with exit 2.
 
 use astra_bench::runner::{run_cli, time_ms, BenchArgs};
 use astra_bench::{
     binding_budget, full_space, jittered_job, planner, production_job, synthetic_job,
 };
-use astra_core::solver::{solve_exhaustive, solve_exhaustive_serial, solve_on_dag};
+use astra_core::solver::solve_exhaustive;
 use astra_core::{ConfigSpace, Objective, PlannerDag, PlannerPotentials, PruneConfig, Strategy};
 use serde_json::{json, Value};
 
@@ -44,15 +46,10 @@ use serde_json::{json, Value};
 /// compares one reused session against this many cold build+solve runs).
 const SWEEP_BOUNDS: usize = 16;
 
-fn run_suite(args: &BenchArgs) -> Value {
+fn run_suite(args: &BenchArgs) -> Vec<Value> {
     let astra = planner(Strategy::ExactCsp);
-    let prune = if args.no_prune {
-        PruneConfig::off()
-    } else {
-        PruneConfig::on()
-    };
+    let prune = PruneConfig::on();
     let mut results: Vec<Value> = Vec::new();
-    let mut speedups: Vec<Value> = Vec::new();
 
     let push =
         |results: &mut Vec<Value>, name: String, n: usize, tiers: usize, mean: f64, min: f64| {
@@ -71,9 +68,8 @@ fn run_suite(args: &BenchArgs) -> Value {
         let space = full_space(&astra, &job);
         let tiers = space.memory_tiers_mb.len();
 
-        // Historical entries: the full (unpruned) Fig. 5 DAG and the
-        // plain lexicographic label search, exactly as every committed
-        // baseline measured them.
+        // Historical entry: the full (unpruned) Fig. 5 DAG, exactly as
+        // every committed baseline measured it.
         let (serial_mean, serial_min) = time_ms(args.samples, || {
             PlannerDag::build_with(
                 &job,
@@ -106,28 +102,9 @@ fn run_suite(args: &BenchArgs) -> Value {
             pb_min,
         );
 
-        let full_dag = PlannerDag::build_with(
-            &job,
-            astra.platform(),
-            astra.catalog(),
-            &space,
-            PruneConfig::off(),
-        );
         let objective = binding_budget(&astra, &job);
-        let (csp_mean, csp_min) = time_ms(args.samples, || {
-            solve_on_dag(&full_dag, objective, Strategy::ExactCsp)
-        });
-        push(
-            &mut results,
-            format!("solve_exact_csp/N{n}"),
-            n,
-            tiers,
-            csp_mean,
-            csp_min,
-        );
 
-        // The potential-guided search on the (default: pruned) DAG —
-        // the successor entry the ≥2× acceptance criterion tracks.
+        // The potential-guided search on the pruned DAG.
         let pruned_dag =
             PlannerDag::build_with(&job, astra.platform(), astra.catalog(), &space, prune);
         let potentials = PlannerPotentials::compute(&pruned_dag);
@@ -149,12 +126,6 @@ fn run_suite(args: &BenchArgs) -> Value {
             pot_mean,
             pot_min,
         );
-        speedups.push(json!({
-            "name": format!("csp_potentials/N{n}"),
-            "serial_ms": csp_min,
-            "parallel_ms": pot_min,
-            "speedup": csp_min / pot_min,
-        }));
 
         // Constraint sweep: answer SWEEP_BOUNDS budgets, once with a
         // cold build+solve per budget (the pre-session workflow) and
@@ -178,11 +149,10 @@ fn run_suite(args: &BenchArgs) -> Value {
         } else {
             args.samples
         };
-        let cold_astra = astra.clone().with_prune_config(prune);
         let (cold_mean, cold_min) = time_ms(cold_samples, || {
             budgets
                 .iter()
-                .filter(|&&o| cold_astra.plan(&job, o).is_ok())
+                .filter(|&&o| astra.plan(&job, o).is_ok())
                 .count()
         });
         push(
@@ -193,9 +163,8 @@ fn run_suite(args: &BenchArgs) -> Value {
             cold_mean,
             cold_min,
         );
-        let session_astra = astra.clone().with_prune_config(prune);
         let (warm_mean, warm_min) = time_ms(args.samples, || {
-            let session = session_astra.session(&job);
+            let session = astra.session(&job);
             budgets.iter().filter(|&&o| session.plan(o).is_ok()).count()
         });
         push(
@@ -205,55 +174,6 @@ fn run_suite(args: &BenchArgs) -> Value {
             tiers,
             warm_mean,
             warm_min,
-        );
-        speedups.push(json!({
-            "name": format!("session_sweep/N{n}"),
-            "serial_ms": cold_min,
-            "parallel_ms": warm_min,
-            "speedup": cold_min / warm_min,
-        }));
-
-        // Re-quote cost: a changed-input re-quote is one cold session
-        // build plus a solve (the service cache never patches).
-        // Samples rotate through [coeff+, coeff+ & price+, price+,
-        // base] on the unpruned DAG, solving the same binding budget
-        // each time. The coefficient tweak is small enough that no
-        // mapper phase crosses the lambda timeout gate at any benched
-        // N, so every variant builds the base job's DAG shape.
-        let platform = astra.platform().clone();
-        let variants: Vec<(astra_model::JobSpec, astra_pricing::PriceCatalog)> = {
-            let mut tweaked = job.clone();
-            tweaked.profile.map_secs_per_mb_128 *= 1.001;
-            let mut pricier = *astra.catalog();
-            pricier.lambda.per_gb_second = pricier.lambda.per_gb_second.scale(2.0);
-            vec![
-                (tweaked.clone(), *astra.catalog()),
-                (tweaked, pricier),
-                (job.clone(), pricier),
-                (job.clone(), *astra.catalog()),
-            ]
-        };
-        let mut step = 0usize;
-        let (rc_mean, rc_min) = time_ms(args.samples, || {
-            let (j, c) = &variants[step % variants.len()];
-            step += 1;
-            let session = astra_core::PlannerSession::new(
-                j,
-                platform.clone(),
-                *c,
-                space.clone(),
-                Strategy::ExactCsp,
-                PruneConfig::off(),
-            );
-            session.solve(objective).is_some()
-        });
-        push(
-            &mut results,
-            format!("session_replan_cold/N{n}"),
-            n,
-            tiers,
-            rc_mean,
-            rc_min,
         );
     }
 
@@ -356,17 +276,6 @@ fn run_suite(args: &BenchArgs) -> Value {
         let space = ConfigSpace::with_tiers(&job, astra.platform(), &[128, 512, 1024, 3008]);
         let tiers = space.memory_tiers_mb.len();
         let objective = binding_budget(&astra, &job);
-        let (se_mean, se_min) = time_ms(args.samples, || {
-            solve_exhaustive_serial(&job, astra.platform(), astra.catalog(), &space, objective)
-        });
-        push(
-            &mut results,
-            format!("exhaustive_serial/N{n}"),
-            n,
-            tiers,
-            se_mean,
-            se_min,
-        );
         let (pe_mean, pe_min) = time_ms(args.samples, || {
             solve_exhaustive(&job, astra.platform(), astra.catalog(), &space, objective)
         });
@@ -378,29 +287,15 @@ fn run_suite(args: &BenchArgs) -> Value {
             pe_mean,
             pe_min,
         );
-        speedups.push(json!({
-            "name": format!("exhaustive/N{n}"),
-            "serial_ms": se_min,
-            "parallel_ms": pe_min,
-            "speedup": se_min / pe_min,
-        }));
     }
 
-    json!({
-        "schema_version": 1,
-        "suite": "astra-planner-bench",
-        "cores": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        "threads": rayon::current_num_threads(),
-        "samples": args.samples,
-        "no_prune": args.no_prune,
-        "results": results,
-        "speedups": speedups,
-    })
+    results
 }
 
 fn main() {
     run_cli(
         "astra-bench",
+        "astra-planner-bench",
         "BENCH_planner.json",
         &[10],
         &[10, 50, 202],

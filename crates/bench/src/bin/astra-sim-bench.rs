@@ -13,19 +13,10 @@
 //!   built and discarded), so the per-event instrumentation overhead is
 //!   measurable and gated alongside the disabled-path timing;
 //! * `sweep_serial/N{n}` / `sweep_parallel/N{n}` — a 16-replication
-//!   noisy seed sweep run as a serial loop versus `simulate_batch`,
-//!   with the speedup recorded (the parallel entry and its speedup row
-//!   are skipped entirely when the effective rayon pool is a single
-//!   thread — there is no fan-out to measure);
-//! * `service_throughput/N{n}` — a 16-job batch submitted through the
-//!   `astra-service` daemon (2 workers, session cache warm after the
-//!   first job) and drained to terminal snapshots, so the whole
-//!   submit→admit→plan→simulate pipeline is gated, with jobs/sec
-//!   recorded alongside the timing;
-//! * `service_net_roundtrip/N{n}` — the same jobs submitted serially
-//!   over loopback TCP through the PROTOCOL.md line protocol, each
-//!   blocking on `await`, so the wire framing + JSON codec + socket
-//!   overhead per submit→Done roundtrip is gated too;
+//!   noisy seed sweep run as a serial loop versus `simulate_batch` (the
+//!   parallel entry is stamped with its thread count and skipped
+//!   entirely when the effective rayon pool is a single thread — there
+//!   is no fan-out to measure);
 //! * `service_recovery/N{n}` — 200 plan-only jobs journaled to a
 //!   durable log (setup, untimed), then a fresh daemon started on that
 //!   journal per sample, so the crash-recovery replay path — frame
@@ -43,7 +34,9 @@
 //! ```
 //!
 //! Regression checks compare `min_ms` for every bench name present in
-//! both files, exactly like the planner gate.
+//! both files, exactly like the planner gate. The daemon's submit, wire
+//! and scheduling paths are measured end to end by `astra-e2e`, not
+//! here.
 
 use astra_bench::runner::{run_cli, time_ms, BenchArgs};
 use astra_bench::{planner, synthetic_job};
@@ -51,9 +44,7 @@ use astra_core::{Objective, Strategy};
 use astra_faas::{derive_seed, SimConfig};
 use astra_mapreduce::{simulate, simulate_batch, SimCase};
 use astra_model::Platform;
-use astra_service::{
-    JobRequest, NetClient, NetConfig, NetServer, ServiceConfig, ServiceDaemon, SimOptions,
-};
+use astra_service::{JobRequest, ServiceConfig, ServiceDaemon, SimOptions};
 use serde_json::{json, Value};
 
 /// Replications per sweep bench: enough to keep every core busy.
@@ -67,10 +58,9 @@ fn config(seed: u64) -> SimConfig {
     SimConfig::deterministic(Platform::aws_lambda()).with_noise(NOISE_CV, seed)
 }
 
-fn run_suite(args: &BenchArgs) -> Value {
+fn run_suite(args: &BenchArgs) -> Vec<Value> {
     let astra = planner(Strategy::ExactCsp);
     let mut results: Vec<Value> = Vec::new();
-    let mut speedups: Vec<Value> = Vec::new();
 
     for &n in &args.sizes {
         let job = synthetic_job(n);
@@ -145,8 +135,7 @@ fn run_suite(args: &BenchArgs) -> Value {
         // compares parallel timings recorded at the same fan-out. On a
         // single-thread pool the "parallel" sweep is just the serial
         // loop plus rayon dispatch overhead — the entry would gate
-        // nothing and its sub-1.0 "speedup" only misleads — so both it
-        // and the speedup row are skipped rather than emitted.
+        // nothing — so it is skipped rather than emitted.
         let threads_effective = rayon::current_num_threads().min(SWEEP_RUNS as usize);
         if threads_effective <= 1 {
             eprintln!(
@@ -177,113 +166,7 @@ fn run_suite(args: &BenchArgs) -> Value {
                 "min_ms": par_min,
                 "threads": threads_effective,
             }));
-            speedups.push(json!({
-                "name": format!("sweep/N{n}"),
-                "serial_ms": serial_min,
-                "parallel_ms": par_min,
-                "speedup": serial_min / par_min,
-                "threads": threads_effective,
-            }));
         }
-
-        // Service-daemon throughput: the same job submitted SWEEP_RUNS
-        // times (distinct seeds) through a 2-worker daemon, timed from
-        // first submit to last terminal snapshot. After the first job
-        // the planner session comes from the LRU cache, so this gates
-        // the queue/admission/dispatch overhead plus the simulations.
-        let (svc_mean, svc_min) = time_ms(args.samples, || {
-            let daemon = ServiceDaemon::start(
-                ServiceConfig::default()
-                    .with_workers(2)
-                    .with_telemetry(astra_telemetry::Telemetry::disabled()),
-            );
-            let handle = daemon.handle();
-            let ids: Vec<_> = (0..SWEEP_RUNS)
-                .map(|i| {
-                    let request =
-                        JobRequest::new(format!("bench-{i}"), job.clone(), Objective::fastest())
-                            .with_sim(SimOptions {
-                                noise_cv: NOISE_CV,
-                                seed: derive_seed(7, i),
-                                replications: 1,
-                            });
-                    handle.submit(request)
-                })
-                .collect();
-            ids.iter()
-                .filter(|&&id| {
-                    handle.await_done(id).expect("bench job vanished").status
-                        == astra_service::JobStatus::Done
-                })
-                .count()
-        });
-        let jobs_per_sec = SWEEP_RUNS as f64 / (svc_min / 1e3);
-        eprintln!(
-            "bench service_throughput/N{n}: mean {svc_mean:.2} ms, min {svc_min:.2} ms \
-             ({jobs_per_sec:.0} jobs/s)"
-        );
-        results.push(json!({
-            "name": format!("service_throughput/N{n}"),
-            "n": n,
-            "jobs": SWEEP_RUNS,
-            "mean_ms": svc_mean,
-            "min_ms": svc_min,
-            "jobs_per_sec": jobs_per_sec,
-        }));
-
-        // Networked roundtrip latency: the same jobs submitted one at a
-        // time over loopback TCP (PROTOCOL.md line protocol), each
-        // submit blocking on `await` before the next — so this times
-        // SWEEP_RUNS full submit→Done roundtrips including framing,
-        // strict-JSON decode/encode and the socket hop. The server and
-        // connection are reused across samples; only the roundtrips are
-        // timed.
-        let net_daemon = ServiceDaemon::start(
-            ServiceConfig::default()
-                .with_workers(2)
-                .with_telemetry(astra_telemetry::Telemetry::disabled()),
-        );
-        let server = NetServer::start(
-            net_daemon.handle(),
-            "127.0.0.1:0",
-            NetConfig::default(),
-            astra_telemetry::Telemetry::disabled(),
-        )
-        .expect("bind loopback");
-        let mut client =
-            NetClient::connect(&server.local_addr().to_string()).expect("connect loopback");
-        let (net_mean, net_min) = time_ms(args.samples, || {
-            (0..SWEEP_RUNS)
-                .map(|i| {
-                    let request =
-                        JobRequest::new(format!("net-{i}"), job.clone(), Objective::fastest())
-                            .with_sim(SimOptions {
-                                noise_cv: NOISE_CV,
-                                seed: derive_seed(7, i),
-                                replications: 1,
-                            });
-                    let id = client.submit_id(&request).expect("wire submit accepted");
-                    let done = client.await_done(id).expect("await roundtrip");
-                    assert_eq!(done["job"]["status"].as_str(), Some("DONE"));
-                })
-                .count()
-        });
-        let ms_per_roundtrip = net_min / SWEEP_RUNS as f64;
-        eprintln!(
-            "bench service_net_roundtrip/N{n}: mean {net_mean:.2} ms, min {net_min:.2} ms \
-             ({ms_per_roundtrip:.3} ms/roundtrip)"
-        );
-        results.push(json!({
-            "name": format!("service_net_roundtrip/N{n}"),
-            "n": n,
-            "jobs": SWEEP_RUNS,
-            "mean_ms": net_mean,
-            "min_ms": net_min,
-            "ms_per_roundtrip": ms_per_roundtrip,
-        }));
-        drop(client);
-        server.shutdown();
-        net_daemon.shutdown();
 
         // Journal-replay restart latency: a daemon journals
         // RECOVERY_JOBS plan-only jobs to a scratch log (setup,
@@ -352,15 +235,7 @@ fn run_suite(args: &BenchArgs) -> Value {
         }));
     }
 
-    json!({
-        "schema_version": 1,
-        "suite": "astra-sim-bench",
-        "cores": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        "threads": rayon::current_num_threads(),
-        "samples": args.samples,
-        "results": results,
-        "speedups": speedups,
-    })
+    results
 }
 
 fn main() {
@@ -368,6 +243,7 @@ fn main() {
     // timed sample is comfortably above timer noise — a single N=10
     // simulation finishes in ~20 µs, too little signal to gate on.
     run_cli(
+        "astra-sim-bench",
         "astra-sim-bench",
         "BENCH_sim.json",
         &[202],

@@ -1,32 +1,23 @@
 #![warn(missing_docs)]
 
-//! Shared fixtures for the Criterion benches.
+//! Fixtures and shared machinery for the fixed-size bench runners.
 //!
-//! The benches quantify the paper's Discussion claim — Astra's planning
-//! overhead "is within a few seconds on a laptop" — plus the scaling of
-//! the underlying machinery (DAG construction, shortest-path solvers,
-//! the event simulator) and the Algorithm 1 vs exact-solver ablation.
-//! Run with `cargo bench --workspace`; per-table summaries land in
-//! `target/criterion/`.
+//! `astra-bench` times the planner (DAG builds, the guided constrained
+//! solve, session sweeps, the exhaustive search) and `astra-sim-bench`
+//! the simulator and the daemon's journal replay. Both write a
+//! `BENCH_*.json` report or gate a run against one on `min_ms` (see
+//! [`runner`]). The paper's Discussion overhead claim and the Algorithm 1
+//! ablation are reproduced by the `exp_solvers` experiment, not here.
 
 use astra_core::{Astra, ConfigSpace, Objective, Strategy};
 use astra_model::{JobSpec, Platform, WorkloadProfile};
 use astra_pricing::PriceCatalog;
-use astra_workloads::WorkloadSpec;
 
 pub mod runner;
 
 /// The default planner over the evaluation platform.
 pub fn planner(strategy: Strategy) -> Astra {
     Astra::new(Platform::aws_lambda(), PriceCatalog::aws_2020(), strategy)
-}
-
-/// The five paper workloads with display labels.
-pub fn paper_jobs() -> Vec<(String, JobSpec)> {
-    WorkloadSpec::paper_suite()
-        .into_iter()
-        .map(|s| (s.label(), s.into_job()))
-        .collect()
 }
 
 /// A uniform synthetic job with `n` objects for scaling benches.
@@ -99,7 +90,6 @@ mod tests {
 
     #[test]
     fn fixtures_build() {
-        assert_eq!(paper_jobs().len(), 5);
         let astra = planner(Strategy::ExactCsp);
         let job = synthetic_job(6);
         let objective = binding_budget(&astra, &job);

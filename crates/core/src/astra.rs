@@ -119,8 +119,8 @@ impl Astra {
     }
 
     /// Replace the dominance-pruning configuration (e.g.
-    /// [`PruneConfig::off`] for equivalence baselines and `--no-prune`
-    /// runs).
+    /// [`PruneConfig::off`] for equivalence baselines and the unpruned
+    /// bench rows).
     pub fn with_prune_config(mut self, prune: PruneConfig) -> Self {
         self.prune = prune;
         self

@@ -236,7 +236,7 @@ fn nanos_i64(cost: Money) -> i64 {
 /// Controls exactness-preserving Pareto dominance pruning of tier
 /// columns during DAG construction (see the module-level "Dominance
 /// pruning" section). Defaults to enabled; [`PruneConfig::off`] is the
-/// opt-out used by equivalence tests, benches and `--no-prune` runs.
+/// opt-out used by equivalence tests and the unpruned bench rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruneConfig {
     /// Drop tier candidates whose (time, cost) bundle is Pareto-dominated

@@ -5,8 +5,8 @@
 //! Every sweep in the repo — the Pareto frontier, Algorithm 1's probes,
 //! the `exp_fig*` tightness scans, the CLI `frontier` command — asks many
 //! constrained questions about one fixed job. Rebuilding the DAG per
-//! query made construction the dominant cost (`dag_build_serial/N202`
-//! ≈ 2× `solve_exact_csp/N50` in `BENCH_planner.json`); a
+//! query made construction the dominant cost (`dag_build_pruned/N202`
+//! dwarfs `solve_csp_potentials/N202` in `BENCH_planner.json`); a
 //! [`PlannerSession`] pays it once and amortizes the backward-potential
 //! sweep with it, so repeated queries run at label-search speed alone
 //! (the `session_sweep_*` bench entries track the resulting speedup).

@@ -5,7 +5,7 @@
 //! constrained shortest path, which is NP-hard in general but solved
 //! exactly and fast on layered DAGs by label-setting with Pareto dominance
 //! pruning. This module is the correctness oracle against which the paper's
-//! heuristic Algorithm 1 is compared in the ablation benches.
+//! heuristic Algorithm 1 is compared in the `exp_solvers` ablation.
 //!
 //! ## Accelerations (all exactness-preserving)
 //!
@@ -109,7 +109,7 @@ pub struct Potentials {
 /// monomorphized implementation serves both the planner's flat CSR
 /// (struct-of-arrays) edge store, which iterates linearly over its
 /// `times`/`costs` slices, and a small [`DiGraph`] read through metric
-/// closures ([`ClosureExpand`], for tests and benches).
+/// closures ([`ClosureExpand`], for tests).
 ///
 /// Implementations must yield a node's out-edges in a **fixed canonical
 /// order** — every exact tie in the search is broken by expansion order,

@@ -38,7 +38,7 @@ struct Edge<E> {
 
 /// A directed graph stored in two flat arenas with intrusive out-edge lists.
 ///
-/// The small-graph builder for tests and benches: the algorithms read it
+/// The small-graph builder for tests: the algorithms read it
 /// through [`crate::csp::ClosureExpand`]. (The planner's own DAG lives in
 /// a flat CSR store instead.)
 #[derive(Debug, Clone)]

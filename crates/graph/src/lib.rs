@@ -13,7 +13,7 @@
 //!   search (used both as the planner's solver and as the oracle the
 //!   tests check Algorithm 1 against), plus the backward potentials;
 //! * [`DiGraph`] — a small arena-allocated digraph with typed payloads,
-//!   read through [`ClosureExpand`] by tests and benches.
+//!   read through [`ClosureExpand`] by tests.
 
 pub mod csp;
 pub mod dijkstra;

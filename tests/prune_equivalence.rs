@@ -474,7 +474,7 @@ fn pruned_planning_is_thread_count_invariant() {
     }
 }
 
-/// The CI smoke test (`--no-prune` equivalence at N=50, full space):
+/// The CI smoke test (pruned vs unpruned equivalence at N=50, full space):
 /// cheap enough for every push, big enough that pruning actually fires.
 #[test]
 fn n50_full_space_smoke() {
